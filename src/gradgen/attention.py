@@ -18,14 +18,21 @@ __all__ = ["NeighborMask", "GaParams", "ga_forward", "init_ga_params"]
 
 LN_EPS = 1e-5
 
+# Masks with a larger share |E| / m^2 of edges attend through dense (H, m, m)
+# scores; sparser ones score and normalise their edge list only.
+DENSE_FILL = 0.1
+
 
 class NeighborMask:
-    """Symmetric boolean adjacency with an empty diagonal.
+    """Symmetric neighborhoods without self-loops, held as a sorted edge list.
 
-    ``matrix[i, j]`` is True when node j belongs to node i's neighborhood.
+    ``rows`` and ``cols`` list every directed edge (i, j), sorted by row and
+    then column: node j belongs to node i's neighborhood. Row i's edges are
+    ``starts[i]:starts[i + 1]``. ``matrix`` is the dense boolean form, built
+    on first use.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("n", "rows", "cols", "starts", "_matrix")
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
         matrix = np.asarray(matrix, dtype=bool)
@@ -36,14 +43,32 @@ class NeighborMask:
                 raise ValueError("nodes cannot neighbor themselves")
             if not np.array_equal(matrix, matrix.T):
                 raise ValueError("neighborhoods must be symmetric")
-        self.matrix = matrix
+        rows, cols = np.nonzero(matrix)
+        self._set(matrix.shape[0], rows, cols)
+        self._matrix = matrix
+
+    def _set(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        self.n = n
+        self.rows = rows.astype(np.intp, copy=False)
+        self.cols = cols.astype(np.intp, copy=False)
+        self.starts = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.rows, minlength=n), out=self.starts[1:])
+        self._matrix = None
+
+    @classmethod
+    def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "NeighborMask":
+        """Wrap directed edges that are already symmetric and sorted by
+        (row, column), without checking them."""
+        mask = cls.__new__(cls)
+        mask._set(n, rows, cols)
+        return mask
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "NeighborMask":
-        m = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            m[u, v] = m[v, u] = True
-        return cls(m, validate=False)
+        """Undirected edges (u, v), in any order and possibly repeated."""
+        e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        return cls.from_sorted(n, keys // n, keys % n)
 
     @classmethod
     def complete(cls, n: int) -> "NeighborMask":
@@ -52,11 +77,20 @@ class NeighborMask:
         return cls(m, validate=False)
 
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            mat = np.zeros((self.n, self.n), dtype=bool)
+            mat[self.rows, self.cols] = True
+            self._matrix = mat
+        return self._matrix
+
+    @property
+    def fill(self) -> float:
+        """Fraction |E| / n^2 of the n x n pairs that are edges."""
+        return len(self.cols) / max(1, self.n * self.n)
 
     def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.matrix[i])
+        return self.cols[self.starts[i] : self.starts[i + 1]]
 
 
 class GaParams:
@@ -137,9 +171,13 @@ def ga_forward(z: Tensor, mask: NeighborMask, params: GaParams) -> Tensor:
     q = _head_mlp(z, params.wq1, params.bq1, params.wq2, params.bq2)
     k = _head_mlp(z, params.wk1, params.bk1, params.wk2, params.bk2)
     v = _head_mlp(z, params.wv1, params.bv1, params.wv2, params.bv2)
-    logits = eng.attention_scores(q, k, params.d_s**-0.5)
-    attn = eng.masked_softmax(logits, mask.matrix)
-    mixed = eng.matmul(attn, v)  # (H, m, d_s); zero rows where no neighbors
+    scale = params.d_s**-0.5
+    if mask.fill > DENSE_FILL:
+        logits = eng.attention_scores(q, k, scale)
+        mixed = eng.matmul(eng.masked_softmax(logits, mask.matrix), v)
+    else:
+        mixed = eng.edge_attention(q, k, v, mask.rows, mask.cols, scale)
+    # mixed: (H, m, d_s), zero rows where no neighbors
     stacked = eng.reshape(eng.transpose(mixed, (1, 0, 2)), (m, params.heads * params.d_s))
     delta = eng.linear(stacked, params.wp)
     normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)

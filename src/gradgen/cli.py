@@ -105,6 +105,26 @@ def _log_summary(path: str, key: str, value: float) -> None:
         f.write(f"summary,{key},{value:.10g}\n")
 
 
+def _trim_log(path: str, decoder_done: int, flow_done: int) -> bool:
+    """Drop the log rows past the checkpointed epochs, so that a resumed run
+    appends exactly what an uninterrupted run would have written. Returns
+    whether the decoder summary row is already present."""
+    if not os.path.exists(path):
+        return False
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines(keepends=True)
+    done = {"decoder": decoder_done, "flow": flow_done}
+    kept = []
+    for line in lines:
+        if not line.endswith("\n"):
+            continue  # cut short by the interruption
+        phase, field = line.split(",", 2)[:2]
+        if phase == "summary" or (phase in done and int(field) < done[phase]):
+            kept.append(line)
+    atomic_write_text(path, "".join(kept))
+    return any(line.startswith("summary,") for line in kept)
+
+
 def cmd_train(args) -> None:
     gc.set_threshold(200_000, 50, 50)  # tensor graphs churn small objects
     cfg = _build_config(args)
@@ -119,6 +139,7 @@ def cmd_train(args) -> None:
     log_path = args.out + ".log"
 
     ckpt = None
+    summary_logged = False
     if args.resume and os.path.exists(args.out):
         ckpt = ckpt_io.load_checkpoint(args.out)
         if ckpt.config != cfg:
@@ -126,6 +147,7 @@ def cmd_train(args) -> None:
         if ckpt.train_sizes != sizes:
             raise ConfigError(f"{args.out}: checkpoint was trained on different data")
         print(f"resuming: decoder epoch {ckpt.decoder_epochs_done}, flow epoch {ckpt.flow_epochs_done}")
+        summary_logged = _trim_log(log_path, ckpt.decoder_epochs_done, ckpt.flow_epochs_done)
     if ckpt is None:
         ckpt = ckpt_io.Checkpoint(
             config=cfg,
@@ -158,7 +180,8 @@ def cmd_train(args) -> None:
         raise ConfigError("decoder training budget is zero epochs")
     ckpt.store.check()
     final_nll = dataset_nll(train_ordered, ckpt.store.codes, ckpt.decoder, k=cfg.K)
-    _log_summary(log_path, "decoder_final_train_nll", final_nll)
+    if not summary_logged:
+        _log_summary(log_path, "decoder_final_train_nll", final_nll)
     print(f"decoder done: clean train NLL {final_nll:.5g}")
 
     if cfg.mode == "grad":
@@ -194,6 +217,7 @@ def cmd_sample(args) -> None:
     rng = np.random.default_rng([seed, 0x5A3B1E])
     graphs = []
     times = []
+    rows = []
     for _ in range(args.n_graphs):
         n = args.fixed_n if args.fixed_n else dist.sample(rng)
         t0 = time.perf_counter()
@@ -201,8 +225,11 @@ def cmd_sample(args) -> None:
             codes = sample_codes(n, ckpt.flow, cfg.sigma_sample, rng)
         else:
             codes = rng.standard_normal((n, cfg.d))
+        t1 = time.perf_counter()
         g = sample_graph(n, codes, ckpt.decoder, rng, k=cfg.K)
-        times.append(time.perf_counter() - t0)
+        t2 = time.perf_counter()
+        times.append(t2 - t0)
+        rows.append({"n": int(n), "flow_s": t1 - t0, "decoder_s": t2 - t1})
         graphs.append(g)
     save_graphs(args.out, graphs, comment=f"samples from {args.checkpoint} seed={seed} mode={mode}")
     report = {
@@ -212,6 +239,7 @@ def cmd_sample(args) -> None:
         "fixed_n": args.fixed_n,
         "mean_seconds_per_graph": float(np.mean(times)),
         "total_seconds": float(np.sum(times)),
+        "per_graph": rows,
     }
     atomic_write_text(args.out + ".timing", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"sampled {len(graphs)} graphs -> {args.out} ({report['mean_seconds_per_graph']:.3f}s per graph)")

@@ -16,8 +16,7 @@ import numpy as np
 
 from .attention import GaParams, NeighborMask, ga_forward, init_ga_params
 from .config import RunConfig
-from .graphdata.core import OrderedLower, reconstruct
-from .graphdata.core import Graph
+from .graphdata.core import Graph, OrderedLower, lower_edges, reconstruct
 from .tensorcore import engine as eng
 from .tensorcore.engine import NonFiniteError, Tensor
 from .tensorcore.optim import AdamState, adam_step, lr_schedule, sgd_project_step
@@ -145,8 +144,7 @@ class BlockParams:
         return e / e.sum()
 
     def lam(self) -> np.ndarray:
-        x = self.lam_logits.data
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        return eng.stable_sigmoid(self.lam_logits.data)
 
 
 def build_scaffold(rows: list[np.ndarray], n_prev: int, k: int) -> NeighborMask:
@@ -154,16 +152,24 @@ def build_scaffold(rows: list[np.ndarray], n_prev: int, k: int) -> NeighborMask:
     other nodes (previous and new)."""
     if k < 1 or n_prev < 0:
         raise ValueError("need k >= 1 and n_prev >= 0")
+    lo_i, lo_j = lower_edges(rows[:n_prev])
+    return _scaffold(lo_i, lo_j, n_prev, k)
+
+
+def _scaffold(lo_i: np.ndarray, lo_j: np.ndarray, n_prev: int, k: int) -> NeighborMask:
+    """Scaffold from the generated edges (lo_i, lo_j) among the first n_prev
+    nodes; O(|E|) apart from one sort of the previous nodes' edges."""
     m = n_prev + k
-    mat = np.zeros((m, m), dtype=bool)
-    for i in range(n_prev):
-        js = rows[i]
-        mat[i, js] = True
-        mat[js, i] = True
-    mat[n_prev:, :] = True
-    mat[:, n_prev:] = True
-    np.fill_diagonal(mat, False)
-    return NeighborMask(mat, validate=False)
+    prev = np.arange(n_prev, dtype=np.intp)
+    new = np.arange(n_prev, m, dtype=np.intp)
+    # previous rows: generated edges both ways, then every new node
+    keys = np.sort(np.concatenate([lo_i * m + lo_j, lo_j * m + lo_i, (prev[:, None] * m + new).ravel()]))
+    # new rows: every other node, already in order
+    everyone = np.arange(m, dtype=np.intp)
+    new_cols = np.broadcast_to(everyone, (k, m))[everyone != new[:, None]]
+    rows = np.concatenate([keys // m, np.repeat(new, m - 1)])
+    cols = np.concatenate([keys % m, new_cols])
+    return NeighborMask.from_sorted(m, rows, cols)
 
 
 def _block_pairs(n_prev: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,11 +249,12 @@ def prepare_steps(ol: OrderedLower, k: int) -> list[_StepPlan]:
     """Teacher-forcing plan: per-step scaffolds, pair indices, observed bits."""
     plans = []
     n = ol.n
-    t = 0
-    while t * k < n:
-        n_prev = t * k
+    lo_i, lo_j = lower_edges(ol.rows)
+    # edges come in row order, so those among the first n_prev nodes are a prefix
+    prefix = np.searchsorted(lo_i, np.arange(0, n, k))
+    for t, n_prev in enumerate(range(0, n, k)):
         kt = min(k, n - n_prev)
-        mask = build_scaffold(ol.rows[:n_prev], n_prev, kt)
+        mask = _scaffold(lo_i[: prefix[t]], lo_j[: prefix[t]], n_prev, kt)
         pair_i, pair_j = _block_pairs(n_prev, kt)
         eps = np.zeros(len(pair_i))
         offset = 0
@@ -255,7 +262,6 @@ def prepare_steps(ol: OrderedLower, k: int) -> list[_StepPlan]:
             eps[offset + ol.rows[i]] = 1.0
             offset += i
         plans.append(_StepPlan(n_prev=n_prev, k=kt, mask=mask, pair_i=pair_i, pair_j=pair_j, eps=eps))
-        t += 1
     return plans
 
 
@@ -291,7 +297,7 @@ def sample_block(bp: BlockParams, rng: np.random.Generator) -> np.ndarray:
     comp = int(rng.choice(len(pi), p=pi))
     if len(bp.pair_i) == 0:
         return np.empty(0, dtype=bool)
-    lam = bp.lam()[:, comp]
+    lam = eng.stable_sigmoid(bp.lam_logits.data[:, comp])
     return rng.random(len(lam)) < lam
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import GaParams, NeighborMask, ga_forward, init_ga_params
 from .config import RunConfig
-from .graphdata.core import OrderedLower
+from .graphdata.core import OrderedLower, lower_edges
 from .tensorcore import engine as eng
 from .tensorcore.engine import NonFiniteError, Tensor
 from .tensorcore.optim import AdamState, adam_step, lr_schedule
@@ -107,8 +107,8 @@ def init_flow_params(cfg: RunConfig, rng: np.random.Generator) -> FlowParams:
 
 
 def mask_from_ordered(ol: OrderedLower) -> NeighborMask:
-    edges = [(int(j), i) for i, row in enumerate(ol.rows) for j in row]
-    return NeighborMask.from_edges(ol.n, edges)
+    """The graph's true structure as a neighborhood mask."""
+    return NeighborMask.from_edges(ol.n, np.stack(lower_edges(ol.rows), axis=1))
 
 
 def _scale(h: Tensor) -> Tensor:

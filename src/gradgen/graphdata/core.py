@@ -107,6 +107,16 @@ def to_lower(g: Graph, perm) -> OrderedLower:
     return OrderedLower(perm=perm, rows=[np.array(sorted(r), dtype=np.int64) for r in rows])
 
 
+def lower_edges(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (i, j < i) of lower-triangular rows as two index arrays, in
+    row order."""
+    if not rows:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    lo_j = np.concatenate(rows).astype(np.intp, copy=False)
+    return np.repeat(np.arange(len(rows), dtype=np.intp), counts), lo_j
+
+
 def reconstruct(ol: OrderedLower) -> Graph:
     edges = []
     for i, row in enumerate(ol.rows):

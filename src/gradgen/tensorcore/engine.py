@@ -41,8 +41,10 @@ __all__ = [
     "tmean",
     "logsumexp",
     "masked_softmax",
+    "edge_attention",
     "layer_norm",
     "logabsdet",
+    "stable_sigmoid",
 ]
 
 
@@ -363,7 +365,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    data = _sigmoid_np(a.data)
+    data = stable_sigmoid(a.data)
 
     def bwd(g):
         return (g * data * (1.0 - data),)
@@ -371,7 +373,8 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make("sigmoid", data, (a,), bwd)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, without overflow for large |x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -460,10 +463,15 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     x = logits.data
     if _FINITE_CHECKS and not np.isfinite(np.where(mask, x, 0.0)).all():
         raise NonFiniteError("primitive 'masked_softmax' received non-finite logits")
-    neg = np.where(mask, x, -np.inf)
-    m = neg.max(axis=-1, keepdims=True)
+    e = np.where(mask, x, -np.inf)
+    m = e.max(axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(neg - m)
+    # exp(-inf) takes a slow path in numpy: exponentiate zeros at the
+    # masked-out entries instead, then zero them by the mask (same values)
+    np.subtract(x, m, out=e)
+    np.copyto(e, 0.0, where=~mask)
+    np.exp(e, out=e)
+    e *= mask
     s = e.sum(axis=-1, keepdims=True)
     out = e / np.where(s > 0.0, s, 1.0)
 
@@ -472,6 +480,56 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
         return (out * (g - dot),)
 
     return _make("masked_softmax", out, (logits,), bwd)
+
+
+def edge_attention(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, cols: np.ndarray, scale: float) -> Tensor:
+    """Softmax attention restricted to the edges (rows[e], cols[e]).
+
+    ``q``, ``k`` and ``v`` are (H, m, d) and the edges are sorted by row. Row
+    i mixes the values of the columns of its edges with weights
+    softmax_j(scale * q_i . k_j); rows without edges yield zeros. Scores and
+    their normalisation cost O(H * d * |E|); the weights are scattered into a
+    dense (H, m, m) array so that mixing and the backward contractions run as
+    BLAS matmuls.
+    """
+    heads, m, _ = q.data.shape
+    if len(rows) == 0:
+        zeros = np.zeros((heads, m, v.data.shape[-1]))
+        return _make("edge_attention", zeros, (q, k, v), lambda g: (None, None, None))
+    # segments: the runs of equal rows, one per row that has edges
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    counts = np.diff(np.append(starts, len(rows)))
+    x = _edge_dots(q.data, k.data, rows, cols) * scale
+    if _FINITE_CHECKS and not np.isfinite(x).all():
+        raise NonFiniteError("primitive 'edge_attention' produced non-finite scores")
+    e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts, axis=1), counts, axis=1))
+    w = e / np.repeat(np.add.reduceat(e, starts, axis=1), counts, axis=1)
+
+    def scatter(vals):
+        full = np.zeros((heads, m, m))
+        full[:, rows, cols] = vals
+        return full
+
+    data = scatter(w) @ v.data
+
+    def bwd(g):
+        full = scatter(w)
+        gv = np.swapaxes(full, -1, -2) @ g if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        gw = _edge_dots(g, v.data, rows, cols)
+        gx = w * (gw - np.repeat(np.add.reduceat(w * gw, starts, axis=1), counts, axis=1))
+        full[:, rows, cols] = gx * scale  # same support, now the score gradient
+        gq = full @ k.data if q.requires_grad else None
+        gk = np.swapaxes(full, -1, -2) @ q.data if k.requires_grad else None
+        return gq, gk, gv
+
+    return _make("edge_attention", data, (q, k, v), bwd)
+
+
+def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a[:, rows[e]] . b[:, cols[e]] over the last axis, as (H, |E|)."""
+    return np.einsum("hed,hed->he", np.take(a, rows, axis=1), np.take(b, cols, axis=1))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -103,3 +103,49 @@ def brute_force_orbit_counts(g) -> np.ndarray:
                         counts[node, pos_to_orbit[pos]] += 1
                     break
     return counts
+
+
+def dense_ga_forward(z, matrix, params):
+    """One GA layer with dense (H, m, m) masked attention over the boolean
+    neighborhood ``matrix``: the reference for the edge-list kernel."""
+    from gradgen.attention import LN_EPS, _head_mlp
+    from gradgen.tensorcore import engine as eng
+
+    m = z.shape[0]
+    q = _head_mlp(z, params.wq1, params.bq1, params.wq2, params.bq2)
+    k = _head_mlp(z, params.wk1, params.bk1, params.wk2, params.bk2)
+    v = _head_mlp(z, params.wv1, params.bv1, params.wv2, params.bv2)
+    logits = eng.attention_scores(q, k, params.d_s**-0.5)
+    attn = eng.masked_softmax(logits, matrix)
+    mixed = eng.matmul(attn, v)
+    stacked = eng.reshape(eng.transpose(mixed, (1, 0, 2)), (m, params.heads * params.d_s))
+    delta = eng.linear(stacked, params.wp)
+    normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)
+    ff = eng.linear(eng.relu(eng.linear(normed, params.ww1, params.bw1)), params.ww2, params.bw2)
+    return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b, eps=LN_EPS)
+
+
+def dense_scaffold(rows, n_prev, k):
+    """Decoder scaffold as an m x m boolean matrix, built row by row."""
+    m = n_prev + k
+    mat = np.zeros((m, m), dtype=bool)
+    for i in range(n_prev):
+        mat[i, rows[i]] = True
+        mat[rows[i], i] = True
+    mat[n_prev:, :] = True
+    mat[:, n_prev:] = True
+    np.fill_diagonal(mat, False)
+    return mat
+
+
+def sample_block_all_columns(bp, rng):
+    """Block draw that takes the sigmoid of every mixture column, with the
+    two-branch formula evaluated everywhere."""
+    pi = bp.pi()
+    comp = int(rng.choice(len(pi), p=pi))
+    if len(bp.pair_i) == 0:
+        return np.empty(0, dtype=bool)
+    x = bp.lam_logits.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    return rng.random(len(lam)) < lam[:, comp]

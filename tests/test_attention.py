@@ -165,3 +165,96 @@ def test_zero_final_initialization_gives_zero_output():
 def test_ga_params_requires_all_fields():
     with pytest.raises(ValueError):
         GaParams(wq1=Tensor(np.zeros((1, 2, 3))))
+
+
+# -- edge-list kernel against the dense reference --------------------------------
+
+
+def scaffold_mask(rng, n_prev, k, p):
+    from gradgen.decoder import build_scaffold
+
+    rows = [np.flatnonzero(rng.random(i) < p) for i in range(n_prev)]
+    return build_scaffold(rows, n_prev, k)
+
+
+def sparse_mask(n, n_edges, seed, isolated=()):
+    rng = np.random.default_rng(seed)
+    edges = set()
+    while len(edges) < n_edges:
+        u, v = rng.choice(n, size=2, replace=False)
+        if u not in isolated and v not in isolated:
+            edges.add((min(u, v), max(u, v)))
+    return NeighborMask.from_edges(n, sorted(edges))
+
+
+def oracle_cases():
+    rng = np.random.default_rng(30)
+    yield "scaffold k=1", scaffold_mask(rng, 40, 1, 0.05)
+    yield "scaffold k=3", scaffold_mask(rng, 37, 3, 0.05)
+    yield "scaffold k=2 dense side", scaffold_mask(rng, 6, 2, 0.5)
+    yield "isolated rows", sparse_mask(30, 25, seed=31, isolated=(0, 7, 29))
+    yield "no edges", NeighborMask(np.zeros((6, 6), dtype=bool))
+    yield "complete m=1", NeighborMask.complete(1)
+    yield "complete m=12", NeighborMask.complete(12)
+
+
+def test_kernel_choice_covers_both_sides():
+    from gradgen.attention import DENSE_FILL
+
+    sides = {name: mask.fill > DENSE_FILL for name, mask in oracle_cases()}
+    assert not sides["scaffold k=1"] and not sides["isolated rows"] and not sides["complete m=1"]
+    assert sides["scaffold k=2 dense side"] and sides["complete m=12"]
+
+
+@pytest.mark.parametrize("case", [name for name, _ in oracle_cases()])
+def test_ga_forward_matches_dense_oracle(case):
+    from oracles import dense_ga_forward
+
+    mask = dict(oracle_cases())[case]
+    params = make_params(d_in=6, d_s=4, heads=3, seed=32)
+    rng = np.random.default_rng(33)
+    z0 = rng.standard_normal((mask.n, 6))
+    w = Tensor(rng.standard_normal((mask.n, 6)))
+    leaves = [t for _, t in params.tensors()]
+    results = []
+    for layer in (ga_forward, lambda z, m, p: dense_ga_forward(z, m.matrix, p)):
+        z = Tensor(z0, requires_grad=True)
+        out = layer(z, mask, params)
+        got = grad(tsum(out * w), [z] + leaves)
+        results.append((out.data, [got[t] for t in [z] + leaves]))
+    (out, grads), (ref_out, ref_grads) = results
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    for (name, _), g, ref in zip([("z", None)] + list(params.tensors()), grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_fill_rule_picks_one_kernel_per_side(monkeypatch):
+    from gradgen.attention import DENSE_FILL
+    from gradgen.tensorcore import engine as eng
+
+    used = []
+    for prim in ("edge_attention", "masked_softmax"):
+        fn = getattr(eng, prim)
+        monkeypatch.setattr(eng, prim, lambda *a, _fn=fn, _p=prim: used.append(_p) or _fn(*a))
+    params = make_params(seed=34)
+    n = 20
+    edges = int(DENSE_FILL * n * n / 2)  # each undirected edge fills two entries
+    for n_edges, kernel in ((edges, "edge_attention"), (edges + 1, "masked_softmax")):
+        mask = sparse_mask(n, n_edges, seed=35)
+        used.clear()
+        ga_forward(Tensor(np.random.default_rng(36).standard_normal((n, 6))), mask, params)
+        assert used == [kernel]
+
+
+def test_neighbor_mask_edge_list():
+    mask = NeighborMask.from_edges(5, [(3, 1), (0, 3), (1, 3), (4, 0)])
+    assert list(mask.rows) == [0, 0, 1, 3, 3, 4]
+    assert list(mask.cols) == [3, 4, 3, 0, 1, 0]
+    assert list(mask.starts) == [0, 2, 3, 3, 5, 6]
+    assert list(mask.neighbors(2)) == []
+    assert mask.fill == 6 / 25
+    again = NeighborMask(mask.matrix)
+    for name in ("rows", "cols", "starts"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(mask, name))
+    complete = NeighborMask.complete(3)
+    assert list(complete.cols) == [1, 2, 0, 2, 0, 1]

@@ -186,6 +186,43 @@ def test_resume_matches_straight_run():
         assert a.tobytes() == b.tobytes()
 
 
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("phase,crash_epoch", [("decoder", 3), ("flow", 1)])
+def test_resumed_log_matches_straight_run(tmp_path, tiny_data, monkeypatch, phase, crash_epoch):
+    from gradgen import cli
+
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(TINY_CFG.replace("decoder_epochs = 2", "decoder_epochs = 5").replace("flow_epochs = 2", "flow_epochs = 4"))
+    monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
+    monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    straight = tmp_path / "straight.ckpt"
+    assert cli.main(["train", tiny_data, "--config", str(cfg), "--out", str(straight)]) == 0
+
+    # crash after logging `crash_epoch`, past the last checkpoint (epoch 2 or 0)
+    log_row = cli._EpochLog.__call__
+
+    def crashing(self, epoch, lr, nll):
+        log_row(self, epoch, lr, nll)
+        if self.phase == phase and epoch == crash_epoch:
+            with open(self.path, "a", encoding="utf-8") as f:
+                f.write(f"{phase},{epoch + 1},0.1")  # a row cut short
+            raise _Interrupted
+
+    resumed = tmp_path / "resumed.ckpt"
+    args = ["train", tiny_data, "--config", str(cfg), "--out", str(resumed)]
+    monkeypatch.setattr(cli._EpochLog, "__call__", crashing)
+    with pytest.raises(_Interrupted):
+        cli.main(args)
+    monkeypatch.setattr(cli._EpochLog, "__call__", log_row)
+    assert cli.main(args + ["--resume"]) == 0
+    text = (tmp_path / "resumed.ckpt.log").read_bytes()
+    assert text == (tmp_path / "straight.ckpt.log").read_bytes()
+    assert text.count(b"summary,") == 1
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -228,6 +265,10 @@ def test_full_pipeline(tmp_path, tiny_data, tiny_cfg_file):
     assert len(gs) == 4
     timing = json.loads((tmp_path / "samples.g.timing").read_text())
     assert timing["mean_seconds_per_graph"] > 0
+    rows = timing["per_graph"]
+    assert [r["n"] for r in rows] == [g.n for g in gs]
+    assert all(r["flow_s"] > 0 and r["decoder_s"] > 0 for r in rows)
+    assert sum(r["flow_s"] + r["decoder_s"] for r in rows) == pytest.approx(timing["total_seconds"], rel=1e-9)
 
     report = tmp_path / "report.txt"
     run_cli("eval", samples, tmp_path / "model.ckpt.test.g", "--out", report, "--validity")

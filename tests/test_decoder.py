@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gradgen.attention import NeighborMask
 from gradgen.config import RunConfig
 from gradgen.decoder import (
     BlockParams,
@@ -14,6 +15,7 @@ from gradgen.decoder import (
     dataset_nll,
     graph_nll,
     init_decoder_params,
+    prepare_steps,
     sample_block,
     sample_graph,
     train_autodecoder,
@@ -66,6 +68,28 @@ def test_scaffold_block_of_two_no_prev_edges():
         assert set(mask.neighbors(new)) == {0, 1, 2, 3} - {new}
     # previous nodes gained only putative edges to the new block
     assert set(mask.neighbors(0)) == {2, 3}
+
+
+@pytest.mark.parametrize("n_prev,k", [(0, 1), (0, 3), (1, 1), (9, 1), (12, 4), (30, 2)])
+def test_scaffold_matches_dense_oracle(n_prev, k):
+    from oracles import dense_scaffold
+
+    rng = np.random.default_rng(n_prev * 10 + k)
+    rows = [np.flatnonzero(rng.random(i) < 0.3) for i in range(n_prev)]
+    mask = build_scaffold(rows, n_prev, k)
+    ref = NeighborMask(dense_scaffold(rows, n_prev, k))
+    for name in ("rows", "cols", "starts"):
+        np.testing.assert_array_equal(getattr(mask, name), getattr(ref, name))
+
+
+def test_prepare_steps_scaffolds_match_build_scaffold():
+    g = gen_cycles()[7]
+    for k in (1, 3):
+        ol = ordered(g)
+        for plan in prepare_steps(ol, k):
+            ref = build_scaffold(ol.rows, plan.n_prev, plan.k)
+            np.testing.assert_array_equal(plan.mask.cols, ref.cols)
+            np.testing.assert_array_equal(plan.mask.starts, ref.starts)
 
 
 # -- block params ---------------------------------------------------------------
@@ -358,6 +382,35 @@ def test_block_sampling_marginal_matches_mixture():
     freq = acc / draws
     sigma = np.sqrt(marginal * (1 - marginal) / draws)
     assert np.all(np.abs(freq - marginal) < 3 * sigma + 1e-9)
+
+
+def test_sample_block_draws_same_bits_as_all_column_sigmoid():
+    from oracles import sample_block_all_columns
+
+    rng = np.random.default_rng(27)
+    for trial in range(20):
+        bp = flat_block(rng.standard_normal(20), 30.0 * rng.standard_normal((57, 20)))
+        a = sample_block(bp, np.random.default_rng([28, trial]))
+        b = sample_block_all_columns(bp, np.random.default_rng([28, trial]))
+        assert a.tobytes() == b.tobytes()
+    x = np.linspace(-800.0, 800.0, 1001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    assert flat_block(np.zeros(1), x[:, None]).lam().tobytes() == old[:, None].tobytes()
+
+
+def test_sample_graph_matches_dense_oracle_path(monkeypatch):
+    import gradgen.decoder as dec
+    from oracles import dense_ga_forward
+
+    cfg, params = make_params(seed=29)
+    params.f_lam.b3.data = params.f_lam.b3.data - 5.0  # sparse draws: edge kernel past m ~ 40
+    codes = np.random.default_rng(30).standard_normal((70, cfg.d))
+    g = sample_graph(70, codes, params, np.random.default_rng(31))
+    monkeypatch.setattr(dec, "ga_forward", lambda z, mask, p: dense_ga_forward(z, mask.matrix, p))
+    ref = sample_graph(70, codes, params, np.random.default_rng(31))
+    assert g == ref
+    assert 0 < g.num_edges() < 3 * 70
 
 
 # -- training ---------------------------------------------------------------

@@ -227,3 +227,31 @@ def test_deep_chain_does_not_recurse():
     for _ in range(5000):
         y = y + Tensor(0.0)
     assert grad(y, [x])[x] == pytest.approx(1.0)
+
+
+def test_edge_attention_gradient():
+    from gradgen.tensorcore import edge_attention
+
+    # 5 nodes; node 2 has no edges, node 4 a single one
+    rows = np.array([0, 0, 1, 1, 3, 3, 3, 4])
+    cols = np.array([1, 3, 0, 3, 0, 1, 4, 3])
+    w = Tensor(np.random.default_rng(40).standard_normal((2, 5, 3)))
+    check_op(lambda q, k, v: tsum(edge_attention(q, k, v, rows, cols, 0.7) * w), (2, 5, 3), (2, 5, 3), (2, 5, 3), seed=41)
+    q, k, v = (Tensor(np.random.default_rng(s).standard_normal((2, 5, 3))) for s in (42, 43, 44))
+    out = edge_attention(q, k, v, rows, cols, 0.7).data
+    assert np.all(out[:, 2] == 0.0)
+    np.testing.assert_allclose(out[:, 4], v.data[:, 3], atol=1e-15)  # one neighbour: weight 1
+
+
+def test_masked_softmax_values_unchanged_without_exp_of_minus_inf():
+    r = np.random.default_rng(45)
+    x = r.standard_normal((3, 6, 6)) * 4
+    mask = r.random((6, 6)) < 0.4
+    mask[2] = False  # an empty row
+    neg = np.where(mask, x, -np.inf)
+    m = neg.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(neg - m)
+    s = e.sum(axis=-1, keepdims=True)
+    ref = e / np.where(s > 0.0, s, 1.0)
+    assert masked_softmax(Tensor(x), mask).data.tobytes() == ref.tobytes()

@@ -208,6 +208,34 @@ def test_mmd_singletons_closed_form():
     assert mmd2(a, b, sigma=1.0) == pytest.approx(2.0 - 2.0 * np.exp(-0.5), rel=1e-12)
 
 
+def test_mmd_clamps_genuinely_negative_estimate():
+    # the Gaussian of total variation is not positive definite: these two
+    # sets estimate about -0.043 before clamping
+    from gradgen.evalstats import StatHistogram
+
+    a = [StatHistogram("degree", np.array(h)) for h in ([0.0, 0.75, 0.25], [0.75, 0.25, 0.0])]
+    b = [StatHistogram("degree", np.array(h)) for h in ([0.75, 0.0, 0.25], [0.0, 1.0, 0.0])]
+    xa = np.array([h.bins for h in a])
+    xb = np.array([h.bins for h in b])
+
+    def gram(x, y):
+        tv = 0.5 * np.abs(x[:, None, :] - y[None, :, :]).sum(-1)
+        return np.exp(-tv * tv / 2.0)
+
+    raw = gram(xa, xa).mean() + gram(xb, xb).mean() - 2.0 * gram(xa, xb).mean()
+    assert raw < -0.04
+    assert mmd2(a, b) == 0.0
+
+
+def test_mmd_non_finite_estimate_raises():
+    from gradgen.evalstats import StatHistogram
+
+    a = [StatHistogram("degree", np.array([np.nan, 1.0]))]
+    b = [StatHistogram("degree", np.array([0.0, 1.0]))]
+    with pytest.raises(ValueError, match="MMD"):
+        mmd2(a, b)
+
+
 def test_mmd_kind_mismatch_rejected():
     with pytest.raises(ValueError):
         mmd2([degree_stat(cycle(5))], [clustering_stat(cycle(5))])
