@@ -11,38 +11,28 @@ import sys
 import numpy as np
 
 from gradgen import checkpoint as ckpt_io
-from gradgen.decoder import sample_graph
+from gradgen.cli import draw_graphs
 from gradgen.evalstats import lobster_validity, mmd_suite
-from gradgen.flow import sample_codes
-from gradgen.graphdata import Graph, load_graphs, size_dist
+from gradgen.graphdata import load_graphs
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("checkpoint")
     ap.add_argument("--mode", default=None)
     ap.add_argument("-n", type=int, default=20)
     ap.add_argument("--seed", type=int, default=123)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    cfg = ckpt.config
-    mode = args.mode or cfg.mode
+    mode = args.mode or ckpt.config.mode
     test = load_graphs(args.checkpoint + ".test.g")
-    dist = size_dist([Graph(n, []) for n in ckpt.train_sizes])
     rng = np.random.default_rng(args.seed)
     print(f"decoder epochs done: {ckpt.decoder_epochs_done}, flow epochs done: {ckpt.flow_epochs_done}")
     if mode == "grad" and ckpt.flow is None:
         print("no flow trained yet; falling back to grad_d")
         mode = "grad_d"
-    samples = []
-    for _ in range(args.n):
-        n = dist.sample(rng)
-        if mode == "grad":
-            codes = sample_codes(n, ckpt.flow, cfg.sigma_sample, rng)
-        else:
-            codes = rng.standard_normal((n, cfg.d))
-        samples.append(sample_graph(n, codes, ckpt.decoder, rng, k=cfg.K))
+    samples, _ = draw_graphs(ckpt, args.n, mode, rng)
     scores = mmd_suite(samples, test)
     for kind, val in scores.items():
         print(f"{kind:<12} {val:.5f}")

@@ -22,6 +22,7 @@ from .decoder import dataset_nll, sample_graph, train_autodecoder
 from .evalstats import lobster_validity, mmd_suite
 from .flow import sample_codes, train_flow
 from .graphdata import (
+    SizeDistribution,
     gen_community,
     gen_cycles,
     gen_grid,
@@ -29,7 +30,6 @@ from .graphdata import (
     load_graphs,
     order_nodes,
     save_graphs,
-    size_dist,
     split,
     to_lower,
 )
@@ -212,25 +212,10 @@ def cmd_sample(args) -> None:
     mode = args.mode or cfg.mode
     if mode == "grad" and ckpt.flow is None:
         raise ckpt_io.CheckpointError(f"{args.checkpoint}: mode 'grad' needs saved flow parameters")
-    dist = size_dist_from_counts(ckpt.train_sizes)
     seed = args.seed if args.seed is not None else cfg.seed
     rng = np.random.default_rng([seed, 0x5A3B1E])
-    graphs = []
-    times = []
-    rows = []
-    for _ in range(args.n_graphs):
-        n = args.fixed_n if args.fixed_n else dist.sample(rng)
-        t0 = time.perf_counter()
-        if mode == "grad":
-            codes = sample_codes(n, ckpt.flow, cfg.sigma_sample, rng)
-        else:
-            codes = rng.standard_normal((n, cfg.d))
-        t1 = time.perf_counter()
-        g = sample_graph(n, codes, ckpt.decoder, rng, k=cfg.K)
-        t2 = time.perf_counter()
-        times.append(t2 - t0)
-        rows.append({"n": int(n), "flow_s": t1 - t0, "decoder_s": t2 - t1})
-        graphs.append(g)
+    graphs, rows = draw_graphs(ckpt, args.n_graphs, mode, rng, args.fixed_n)
+    times = [r["flow_s"] + r["decoder_s"] for r in rows]
     save_graphs(args.out, graphs, comment=f"samples from {args.checkpoint} seed={seed} mode={mode}")
     report = {
         "checkpoint": str(args.checkpoint),
@@ -245,10 +230,27 @@ def cmd_sample(args) -> None:
     print(f"sampled {len(graphs)} graphs -> {args.out} ({report['mean_seconds_per_graph']:.3f}s per graph)")
 
 
-def size_dist_from_counts(sizes: list[int]):
-    from .graphdata.core import Graph, size_dist as _size_dist
-
-    return _size_dist([Graph(int(n), []) for n in sizes])
+def draw_graphs(ckpt: ckpt_io.Checkpoint, count: int, mode: str, rng: np.random.Generator, fixed_n: int | None = None):
+    """Draw ``count`` graphs from a checkpoint. Node counts follow the training
+    sizes unless ``fixed_n`` is given; codes come from the inverse flow in mode
+    ``grad`` and from a standard normal otherwise. Returns the graphs and one
+    ``{n, flow_s, decoder_s}`` timing row per graph."""
+    cfg = ckpt.config
+    dist = SizeDistribution.from_sizes(ckpt.train_sizes)
+    graphs = []
+    rows = []
+    for _ in range(count):
+        n = fixed_n if fixed_n else dist.sample(rng)
+        t0 = time.perf_counter()
+        if mode == "grad":
+            codes = sample_codes(n, ckpt.flow, cfg.sigma_sample, rng)
+        else:
+            codes = rng.standard_normal((n, cfg.d))
+        t1 = time.perf_counter()
+        graphs.append(sample_graph(n, codes, ckpt.decoder, rng, k=cfg.K))
+        t2 = time.perf_counter()
+        rows.append({"n": int(n), "flow_s": t1 - t0, "decoder_s": t2 - t1})
+    return graphs, rows
 
 
 def cmd_eval(args) -> None:

@@ -118,7 +118,6 @@ class LatentStore:
 class GenState:
     """Decoder state between steps: generated rows plus carried node features."""
 
-    step: int = 0
     rows: list[np.ndarray] = field(default_factory=list)
     carried: Tensor | None = None
 
@@ -322,26 +321,11 @@ def sample_graph(
             for i in range(state.n_prev, state.n_prev + kt):
                 new_rows.append(np.flatnonzero(hits[offset : offset + i]).astype(np.int64))
                 offset += i
-            state = GenState(
-                step=state.step + 1,
-                rows=state.rows + new_rows,
-                carried=bp.features,
-            )
+            state = GenState(rows=state.rows + new_rows, carried=bp.features)
     return reconstruct(OrderedLower(perm=list(range(n)), rows=state.rows))
 
 
 # -- training ------------------------------------------------------------------
-
-
-def _nll_and_grads(ol, codes_arr, params, param_list, code_tensor_needed, k, plans):
-    """One evaluation: returns (nll value, param grads dict or None, code grad or None)."""
-    codes = Tensor(codes_arr, requires_grad=code_tensor_needed)
-    loss = graph_nll(ol, codes, params, k=k, plans=plans)
-    leaves = list(param_list.values()) + ([codes] if code_tensor_needed else [])
-    grads = eng.grad(loss, leaves)
-    pgrads = {name: grads[t] for name, t in param_list.items()}
-    cgrad = grads[codes] if code_tensor_needed else None
-    return float(loss.data), pgrads, cgrad
 
 
 def train_autodecoder(
@@ -387,48 +371,35 @@ def train_autodecoder(
         order = rng.permutation(n_train)
         epoch_nlls = []
         for lo in range(0, n_train, cfg.batch):
-            batch = order[lo : lo + cfg.batch]
+            batch = [int(gi) for gi in order[lo : lo + cfg.batch]]
             # pass 1: simultaneous parameter and code update from shared grads
             mean_pgrads = {name: np.zeros_like(t.data) for name, t in param_list.items()}
             cgrads = {}
             for gi in batch:
-                gi = int(gi)
-                z = store.codes[gi]
-                noisy = z + cfg.decoder_noise * rng.standard_normal(z.shape) if cfg.decoder_noise > 0 else z
-                nll, pgrads, cgrad = _eval_checked(
+                noisy = _noisy(store.codes[gi], cfg.decoder_noise, rng)
+                nll, pgrads, cgrads[gi] = _eval_checked(
                     train_ordered[gi], noisy, params, param_list, learn_codes, cfg.K, plans[gi], epoch, gi
                 )
                 epoch_nlls.append(nll)
                 for name in mean_pgrads:
                     mean_pgrads[name] += pgrads[name]
-                if learn_codes:
-                    cgrads[gi] = cgrad
             for name in mean_pgrads:
                 mean_pgrads[name] /= len(batch)
             adam_step(param_list, mean_pgrads, adam, lr)
             if learn_codes:
                 for gi in batch:
-                    gi = int(gi)
-                    ascent = -cgrads[gi] - store.codes[gi]  # likelihood + Gaussian prior
-                    store.codes[gi] = sgd_project_step(store.codes[gi], ascent, cfg.delta)
+                    store.codes[gi] = _ascend(store.codes[gi], cgrads[gi], cfg.delta)
                 # pass 2: second code update at the new parameters; parameter
                 # tensors are frozen so backward skips their gradient blocks
                 for t in param_list.values():
                     t.requires_grad = False
                 try:
                     for gi in batch:
-                        gi = int(gi)
-                        z = store.codes[gi]
-                        noisy = z + cfg.decoder_noise * rng.standard_normal(z.shape) if cfg.decoder_noise > 0 else z
-                        codes = Tensor(noisy, requires_grad=True)
-                        loss = graph_nll(train_ordered[gi], codes, params, k=cfg.K, plans=plans[gi])
-                        try:
-                            cgrad = eng.grad(loss, [codes])[codes]
-                        except NonFiniteError:
-                            _rerun_with_checks(train_ordered[gi], noisy, params, cfg.K, plans[gi], epoch, gi)
-                            raise
-                        ascent = -cgrad - store.codes[gi]
-                        store.codes[gi] = sgd_project_step(store.codes[gi], ascent, cfg.delta)
+                        noisy = _noisy(store.codes[gi], cfg.decoder_noise, rng)
+                        _, _, cgrad = _eval_checked(
+                            train_ordered[gi], noisy, params, {}, True, cfg.K, plans[gi], epoch, gi
+                        )
+                        store.codes[gi] = _ascend(store.codes[gi], cgrad, cfg.delta)
                 finally:
                     for t in param_list.values():
                         t.requires_grad = True
@@ -438,20 +409,28 @@ def train_autodecoder(
     return params, store, curve
 
 
+def _noisy(z: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
+    return z + noise * rng.standard_normal(z.shape) if noise > 0 else z
+
+
+def _ascend(z: np.ndarray, cgrad: np.ndarray, delta: float) -> np.ndarray:
+    """Projected ascent on the code likelihood plus its Gaussian prior."""
+    return sgd_project_step(z, -cgrad - z, delta)
+
+
 def _eval_checked(ol, noisy, params, param_list, learn_codes, k, plans, epoch, gi):
+    """One evaluation: (nll value, param grads dict, code grad or None). A
+    diverged objective is re-evaluated with per-op checks for a named diagnostic."""
     try:
-        return _nll_and_grads(ol, noisy, params, param_list, learn_codes, k, plans)
+        codes = Tensor(noisy, requires_grad=learn_codes)
+        loss = graph_nll(ol, codes, params, k=k, plans=plans)
+        grads = eng.grad(loss, list(param_list.values()) + ([codes] if learn_codes else []))
     except NonFiniteError:
-        _rerun_with_checks(ol, noisy, params, k, plans, epoch, gi)
+        with eng.finite_checks():
+            try:
+                graph_nll(ol, Tensor(noisy), params, k=k, plans=plans)
+            except NonFiniteError as e:
+                raise RuntimeError(f"training diverged at epoch {epoch}, graph {gi}: {e}") from e
         raise
-
-
-def _rerun_with_checks(ol, noisy, params, k, plans, epoch, gi):
-    """Re-evaluate a diverged objective with per-op checks for a named diagnostic."""
-    with eng.finite_checks():
-        try:
-            graph_nll(ol, Tensor(noisy), params, k=k, plans=plans)
-        except NonFiniteError as e:
-            raise RuntimeError(
-                f"training diverged at epoch {epoch}, graph {gi}: {e}"
-            ) from e
+    pgrads = {name: grads[t] for name, t in param_list.items()}
+    return float(loss.data), pgrads, grads[codes] if learn_codes else None

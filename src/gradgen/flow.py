@@ -115,6 +115,22 @@ def _scale(h: Tensor) -> Tensor:
     return eng.tanh(h) * Tensor(SCALE_BOUND)
 
 
+def _halves(params: FlowParams):
+    """The 2R half-steps in forward order as (g_s, g_t, log_s, b, w). Each
+    step first updates the second half of the channels from the first
+    (g1, g2, n1), then the first half from the updated second (g3, g4, n2)."""
+    for step in params.steps:
+        g1, g2, g3, g4 = step.g
+        yield g1, g2, step.log_s1, step.b1, step.w1
+        yield g3, g4, step.log_s2, step.b2, step.w2
+
+
+def _coupling(cond: Tensor, mask: NeighborMask, g_s: GaParams, g_t: GaParams) -> tuple[Tensor, Tensor]:
+    """Bounded log-scale ``s`` and shift ``t`` of the affine coupling that
+    updates one half from the other: forward ``upd * exp(s) + t``."""
+    return _scale(ga_forward(cond, mask, g_s)), ga_forward(cond, mask, g_t)
+
+
 def _actnorm_fwd(x: Tensor, log_s: Tensor, b: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
     n = x.shape[0]
     h = x * eng.exp(log_s) + b
@@ -130,9 +146,10 @@ def _check_invertible(w: np.ndarray) -> np.ndarray:
     return np.linalg.inv(w)
 
 
-def _actnorm_inv(y: np.ndarray, log_s: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _actnorm_inv(y: np.ndarray, log_s: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     h = y @ _check_invertible(w)
-    return (h - b) * np.exp(-log_s)
+    ld = y.shape[0] * (log_s.sum() + np.linalg.slogdet(w)[1])
+    return (h - b) * np.exp(-log_s), ld
 
 
 def flow_forward(z: Tensor | np.ndarray, mask: NeighborMask, params: FlowParams) -> FlowResult:
@@ -142,45 +159,32 @@ def flow_forward(z: Tensor | np.ndarray, mask: NeighborMask, params: FlowParams)
     d2 = params.half_dim
     if d != 2 * d2:
         raise ValueError(f"flow expects {2 * d2} feature channels, got {d}")
-    y0 = eng.narrow(z, 1, 0, d2)
-    y1 = eng.narrow(z, 1, d2, d2)
+    cond, upd = eng.narrow(z, 1, 0, d2), eng.narrow(z, 1, d2, d2)
     logdet = Tensor(0.0)
-    for step in params.steps:
-        g1, g2, g3, g4 = step.g
-        s = _scale(ga_forward(y0, mask, g1))
-        y1 = y1 * eng.exp(s) + ga_forward(y0, mask, g2)
+    for g_s, g_t, log_s, b, w in _halves(params):
+        s, t = _coupling(cond, mask, g_s, g_t)
         logdet = logdet + eng.tsum(s)
-        y1, ld = _actnorm_fwd(y1, step.log_s1, step.b1, step.w1)
+        upd, ld = _actnorm_fwd(upd * eng.exp(s) + t, log_s, b, w)
         logdet = logdet + ld
-        s = _scale(ga_forward(y1, mask, g3))
-        y0 = y0 * eng.exp(s) + ga_forward(y1, mask, g4)
-        logdet = logdet + eng.tsum(s)
-        y0, ld = _actnorm_fwd(y0, step.log_s2, step.b2, step.w2)
-        logdet = logdet + ld
-    return FlowResult(y=eng.concat([y0, y1], axis=1), logdet=logdet)
+        cond, upd = upd, cond  # over an even count of half-steps, back to [y0, y1]
+    return FlowResult(y=eng.concat([cond, upd], axis=1), logdet=logdet)
 
 
 def flow_inverse(y: np.ndarray, mask: NeighborMask, params: FlowParams, return_logdet: bool = False):
     """Exact algebraic inversion of the forward chain (no gradients)."""
     y = np.asarray(y, dtype=np.float64)
     d2 = params.half_dim
-    y0 = y[:, :d2]
-    y1 = y[:, d2:]
+    cond, upd = y[:, :d2], y[:, d2:]
     logdet = 0.0
     with eng.no_grad():
-        for step in reversed(params.steps):
-            g1, g2, g3, g4 = step.g
-            y0 = _actnorm_inv(y0, step.log_s2.data, step.b2.data, step.w2.data)
-            logdet -= y.shape[0] * (step.log_s2.data.sum() + np.linalg.slogdet(step.w2.data)[1])
-            s = _scale(ga_forward(Tensor(y1), mask, g3)).data
-            y0 = (y0 - ga_forward(Tensor(y1), mask, g4).data) * np.exp(-s)
-            logdet -= s.sum()
-            y1 = _actnorm_inv(y1, step.log_s1.data, step.b1.data, step.w1.data)
-            logdet -= y.shape[0] * (step.log_s1.data.sum() + np.linalg.slogdet(step.w1.data)[1])
-            s = _scale(ga_forward(Tensor(y0), mask, g1)).data
-            y1 = (y1 - ga_forward(Tensor(y0), mask, g2).data) * np.exp(-s)
-            logdet -= s.sum()
-    z = np.concatenate([y0, y1], axis=1)
+        for g_s, g_t, log_s, b, w in reversed(list(_halves(params))):
+            cond, upd = upd, cond  # undo the forward pass's swap
+            upd, ld = _actnorm_inv(upd, log_s.data, b.data, w.data)
+            logdet -= ld
+            s, t = _coupling(Tensor(cond), mask, g_s, g_t)
+            upd = (upd - t.data) * np.exp(-s.data)
+            logdet -= s.data.sum()
+    z = np.concatenate([cond, upd], axis=1)
     return (z, logdet) if return_logdet else z
 
 
@@ -212,27 +216,16 @@ def init_actnorms(params: FlowParams, batch: list[tuple[np.ndarray, NeighborMask
     """Data-dependent actnorm initialization: after the affine coupling, each
     channel of the first batch has zero mean and unit variance."""
     d2 = params.half_dim
-    halves = [(z[:, :d2].copy(), z[:, d2:].copy()) for z, _ in batch]
+    pairs = [(Tensor(z[:, :d2]), Tensor(z[:, d2:])) for z, _ in batch]
     masks = [m for _, m in batch]
     with eng.no_grad():
-        for step in params.steps:
-            g1, g2, g3, g4 = step.g
+        for g_s, g_t, log_s, b, w in _halves(params):
             pre = []
-            for (y0, y1), mask in zip(halves, masks):
-                s = _scale(ga_forward(Tensor(y0), mask, g1)).data
-                pre.append(y1 * np.exp(s) + ga_forward(Tensor(y0), mask, g2).data)
-            _fit_actnorm(step.log_s1, step.b1, np.concatenate(pre, axis=0))
-            for idx, ((y0, y1), mask) in enumerate(zip(halves, masks)):
-                h = pre[idx] * np.exp(step.log_s1.data) + step.b1.data
-                halves[idx] = (y0, h @ step.w1.data)
-            pre = []
-            for (y0, y1), mask in zip(halves, masks):
-                s = _scale(ga_forward(Tensor(y1), mask, g3)).data
-                pre.append(y0 * np.exp(s) + ga_forward(Tensor(y1), mask, g4).data)
-            _fit_actnorm(step.log_s2, step.b2, np.concatenate(pre, axis=0))
-            for idx, ((y0, y1), mask) in enumerate(zip(halves, masks)):
-                h = pre[idx] * np.exp(step.log_s2.data) + step.b2.data
-                halves[idx] = (h @ step.w2.data, y1)
+            for (cond, upd), mask in zip(pairs, masks):
+                s, t = _coupling(cond, mask, g_s, g_t)
+                pre.append(upd * eng.exp(s) + t)
+            _fit_actnorm(log_s, b, np.concatenate([h.data for h in pre], axis=0))
+            pairs = [(_actnorm_fwd(h, log_s, b, w)[0], cond) for h, (cond, _) in zip(pre, pairs)]
     params.initialized = True
 
 

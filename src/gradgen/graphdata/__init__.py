@@ -4,7 +4,6 @@ from .core import (
     OrderedLower,
     SizeDistribution,
     reconstruct,
-    sample_size,
     size_dist,
     split,
     to_lower,
@@ -29,7 +28,6 @@ __all__ = [
     "load_graphs",
     "order_nodes",
     "reconstruct",
-    "sample_size",
     "save_graphs",
     "size_dist",
     "split",

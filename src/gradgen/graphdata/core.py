@@ -14,7 +14,6 @@ __all__ = [
     "to_lower",
     "reconstruct",
     "size_dist",
-    "sample_size",
     "split",
 ]
 
@@ -134,20 +133,19 @@ class SizeDistribution:
     counts: np.ndarray  # distinct node counts, ascending
     weights: np.ndarray  # empirical probabilities, same length
 
+    @classmethod
+    def from_sizes(cls, sizes: list[int]) -> SizeDistribution:
+        if len(sizes) == 0:
+            raise ValueError("empty training set")
+        counts, freq = np.unique(np.asarray(sizes, dtype=np.int64), return_counts=True)
+        return cls(counts=counts, weights=freq / freq.sum())
+
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.choice(self.counts, p=self.weights))
 
 
 def size_dist(train: list[Graph]) -> SizeDistribution:
-    if not train:
-        raise ValueError("empty training set")
-    sizes = np.array(sorted(g.n for g in train), dtype=np.int64)
-    counts, freq = np.unique(sizes, return_counts=True)
-    return SizeDistribution(counts=counts, weights=freq / freq.sum())
-
-
-def sample_size(dist: SizeDistribution, rng: np.random.Generator) -> int:
-    return dist.sample(rng)
+    return SizeDistribution.from_sizes([g.n for g in train])
 
 
 @dataclass

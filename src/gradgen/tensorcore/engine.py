@@ -33,12 +33,10 @@ __all__ = [
     "gather_rows",
     "relu",
     "tanh",
-    "sigmoid",
     "exp",
     "log",
     "logsigmoid",
     "tsum",
-    "tmean",
     "logsumexp",
     "masked_softmax",
     "edge_attention",
@@ -364,15 +362,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", data, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    data = stable_sigmoid(a.data)
-
-    def bwd(g):
-        return (g * data * (1.0 - data),)
-
-    return _make("sigmoid", data, (a,), bwd)
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function on a plain array, without overflow for large |x|."""
     out = np.empty_like(x)
@@ -426,11 +415,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make("sum", data, (a,), bwd)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
 
 
 def logsumexp(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from gradgen import checkpoint as ckpt_io
 from gradgen.config import ConfigError, RunConfig, format_config, load_config, parse_config
 from gradgen.decoder import LatentStore, init_decoder_params, train_autodecoder
+from gradgen.evalstats import STATISTICS
 from gradgen.flow import init_flow_params
 from gradgen.graphdata import gen_cycles, load_graphs, order_nodes, save_graphs, to_lower
 from gradgen.tensorcore.optim import AdamState
@@ -298,6 +300,22 @@ def test_sample_determinism(tmp_path, tiny_data, tiny_cfg_file):
     run_cli("sample", ckpt, 5, "--out", a, "--seed", 11)
     run_cli("sample", ckpt, 5, "--out", b, "--seed", 11)
     assert a.read_text() == b.read_text()
+
+
+def test_peek_checkpoint_prints_the_four_statistics(tmp_path, tiny_data, tiny_cfg_file, capsys):
+    ckpt = tmp_path / "d.ckpt"
+    run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt, "--mode", "grad_d")
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "peek_checkpoint.py")
+    spec = importlib.util.spec_from_file_location("peek_checkpoint", script)
+    peek = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(peek)
+    assert peek.main([str(ckpt), "--mode", "grad", "-n", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "falling back to grad_d" in "\n".join(lines)
+    rows = [line.split() for line in lines]
+    scores = {r[0]: float(r[1]) for r in rows if r and r[0] in STATISTICS}
+    assert set(scores) == set(STATISTICS)
+    assert all(np.isfinite(v) and v >= 0.0 for v in scores.values())
 
 
 def test_train_grad_d_skips_flow(tmp_path, tiny_data, tiny_cfg_file):

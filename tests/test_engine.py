@@ -18,9 +18,7 @@ from gradgen.tensorcore import (
     narrow,
     no_grad,
     relu,
-    sigmoid,
     tanh,
-    tmean,
     transpose,
     tsum,
 )
@@ -137,7 +135,6 @@ def test_masked_softmax_gradient():
 
 def test_pointwise_gradients():
     check_op(lambda x: tsum(relu(x) * relu(x)), (11,), seed=8)
-    check_op(lambda x: tsum(sigmoid(x)), (7,), seed=9)
     check_op(lambda x: tsum(logsigmoid(x)), (7,), seed=10)
     check_op(lambda x: tsum(exp(x * Tensor(0.3))), (5,), seed=11)
     check_op(lambda x: tsum(log(exp(x) + Tensor(1.0))), (5,), seed=12)
@@ -161,7 +158,6 @@ def test_logsumexp_matches_numpy_and_fd():
 
 def test_reductions_and_shape_ops():
     check_op(lambda x: tsum(x, axis=0).sum(), (3, 4), seed=15)
-    check_op(lambda x: tmean(x, axis=1, keepdims=True).sum(), (3, 4), seed=16)
     check_op(lambda x: tsum(transpose(x, (1, 0)) @ x), (3, 4), seed=17)
     check_op(lambda x: tsum(x.reshape(2, 6) @ x.reshape(6, 2)), (3, 4), seed=18)
     check_op(lambda a, b: tsum(concat([a, b], axis=1) * concat([b, a], axis=1)), (2, 3), (2, 3), seed=19)

@@ -6,9 +6,12 @@ from gradgen.config import RunConfig
 from gradgen.decoder import LatentStore
 from gradgen.flow import (
     FlowParams,
+    _coupling,
+    _halves,
     flow_forward,
     flow_inverse,
     flow_nll,
+    init_actnorms,
     init_flow_params,
     mask_from_ordered,
     sample_codes,
@@ -56,6 +59,30 @@ def perturb(params: FlowParams, scale=0.4, seed=1):
         elif name.endswith(("log_s", "/b")) and "/n" in name:
             t.data = rng.standard_normal(t.data.shape) * 0.2
     return params
+
+
+def test_actnorm_init_standardizes_every_half_step():
+    cfg = flow_config(d=6, R=3)
+    params = perturb(init_flow_params(cfg, np.random.default_rng(2)), seed=3)
+    rng = np.random.default_rng(4)
+    batch = [(rng.standard_normal((n, cfg.d)), random_mask(n, 0.4, n)) for n in (5, 7, 9)]
+    init_actnorms(params, batch)
+    assert params.initialized
+    d2 = cfg.d // 2
+    pairs = [(Tensor(z[:, :d2]), Tensor(z[:, d2:])) for z, _ in batch]
+    for g_s, g_t, log_s, b, w in _halves(params):
+        normed = []
+        for (cond, upd), (_, mask) in zip(pairs, batch):
+            s, t = _coupling(cond, mask, g_s, g_t)
+            normed.append((upd.data * np.exp(s.data) + t.data) * np.exp(log_s.data) + b.data)
+        h = np.concatenate(normed)  # post-actnorm, pre-mixing, over the batch
+        np.testing.assert_allclose(h.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(h.std(axis=0), 1.0, atol=1e-10)
+        pairs = [(Tensor(x @ w.data), cond) for x, (cond, _) in zip(normed, pairs)]
+    # walking the half-steps this way reproduces the forward pass
+    for (cond, upd), (z, mask) in zip(pairs, batch):
+        y = flow_forward(z, mask, params).y.data
+        np.testing.assert_allclose(np.concatenate([cond.data, upd.data], axis=1), y, atol=1e-12)
 
 
 def test_identity_flow_is_identity():

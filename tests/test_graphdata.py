@@ -14,7 +14,6 @@ from gradgen.graphdata import (
     make_community,
     order_nodes,
     reconstruct,
-    sample_size,
     save_graphs,
     size_dist,
     split,
@@ -258,7 +257,7 @@ def test_size_dist_frequencies():
     train = [Graph(5, []), Graph(5, []), Graph(7, [])]
     dist = size_dist(train)
     rng = np.random.default_rng(0)
-    draws = np.array([sample_size(dist, rng) for _ in range(10_000)])
+    draws = np.array([dist.sample(rng) for _ in range(10_000)])
     assert set(np.unique(draws)).issubset({5, 7})
     p5 = (draws == 5).mean()
     sigma = np.sqrt((2 / 3) * (1 / 3) / 10_000)
@@ -268,7 +267,7 @@ def test_size_dist_frequencies():
 def test_size_dist_single_graph():
     dist = size_dist([Graph(9, [])])
     rng = np.random.default_rng(1)
-    assert all(sample_size(dist, rng) == 9 for _ in range(50))
+    assert all(dist.sample(rng) == 9 for _ in range(50))
 
 
 def test_size_dist_chi_square():
@@ -277,7 +276,7 @@ def test_size_dist_chi_square():
     train = [Graph(n, []) for n in [4] * 10 + [6] * 30 + [9] * 60]
     dist = size_dist(train)
     rng = np.random.default_rng(7)
-    draws = np.array([sample_size(dist, rng) for _ in range(10_000)])
+    draws = np.array([dist.sample(rng) for _ in range(10_000)])
     observed = [(draws == n).sum() for n in (4, 6, 9)]
     expected = [1000, 3000, 6000]
     _, pvalue = chisquare(observed, expected)
