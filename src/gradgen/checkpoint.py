@@ -20,6 +20,7 @@ __all__ = ["Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint"
 
 MAGIC = b"GRAD"
 VERSION = 1
+PREAMBLE = struct.Struct("<4sIQ")  # magic, version, header length
 
 
 class CheckpointError(RuntimeError):
@@ -87,9 +88,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".ckpt")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<Q", len(raw)))
+            f.write(PREAMBLE.pack(MAGIC, VERSION, len(raw)))
             f.write(raw)
             for blob in blobs:
                 f.write(blob)
@@ -102,19 +101,32 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
+        pre = f.read(PREAMBLE.size)
+        if not (pre.startswith(MAGIC) or MAGIC.startswith(pre)):
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
+        if len(pre) < PREAMBLE.size:
+            raise CheckpointError(f"{path}: truncated preamble ({len(pre)} of {PREAMBLE.size} bytes)")
+        _, version, hlen = PREAMBLE.unpack(pre)
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        raw = f.read(hlen)
+        if len(raw) < hlen:
+            raise CheckpointError(f"{path}: truncated header ({len(raw)} of {hlen} bytes)")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as e:
+            raise CheckpointError(f"{path}: truncated or corrupt header ({e})") from e
         payload = f.read()
 
     def read_entry(entry) -> np.ndarray:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + 8 * count > len(payload):
+            raise CheckpointError(
+                f"{path}: truncated payload: tensor {entry['name']} ends at byte {start + 8 * count}, "
+                f"payload has {len(payload)}"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         return arr.reshape(shape).astype(np.float64)
 

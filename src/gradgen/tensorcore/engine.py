@@ -43,6 +43,7 @@ __all__ = [
     "layer_norm",
     "logabsdet",
     "stable_sigmoid",
+    "checkpoint",
 ]
 
 
@@ -55,15 +56,19 @@ _FINITE_CHECKS = False
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (forward values only)."""
+def _recording(enabled: bool):
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    _GRAD_ENABLED = enabled
     try:
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def no_grad():
+    """Disable graph recording inside the block (forward values only)."""
+    return _recording(False)
 
 
 @contextlib.contextmanager
@@ -450,12 +455,17 @@ def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     e = np.where(mask, x, -np.inf)
     m = e.max(axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    # exp(-inf) takes a slow path in numpy: exponentiate zeros at the
-    # masked-out entries instead, then zero them by the mask (same values)
-    np.subtract(x, m, out=e)
-    np.copyto(e, 0.0, where=~mask)
-    np.exp(e, out=e)
-    e *= mask
+    n = len(mask) if mask.ndim == 2 else -1
+    if mask.shape == (n, n) and np.count_nonzero(mask) == n * n - n and not mask.diagonal().any():
+        e -= m  # only the diagonal masked out: too few exp(-inf) to matter
+        np.exp(e, out=e)
+    else:
+        # exp(-inf) takes a slow path in numpy: exponentiate zeros at the
+        # masked-out entries instead, then zero them by the mask (same values)
+        np.subtract(x, m, out=e)
+        np.copyto(e, 0.0, where=~mask)
+        np.exp(e, out=e)
+        e *= mask
     s = e.sum(axis=-1, keepdims=True)
     out = e / np.where(s > 0.0, s, 1.0)
 
@@ -547,6 +557,33 @@ def logabsdet(a: Tensor) -> Tensor:
         return (g * np.linalg.inv(a.data).T,)
 
     return _make("logabsdet", np.asarray(ld), (a,), bwd)
+
+
+def checkpoint(fn: Callable[..., Tensor], inputs: Sequence[Tensor], params: Sequence[Tensor]) -> Tensor:
+    """``fn(*inputs)`` recorded as one node whose activations are recomputed.
+
+    While a tape is recorded, ``fn`` runs under :func:`no_grad` and only its
+    output is kept; ``params`` are the tensors ``fn`` reads besides its
+    inputs. The backward pass re-runs ``fn`` on fresh leaf copies of the
+    inputs, with recording on, and pulls the adjoint through that tape, which
+    lives only for the duration of the call (Chen et al., arXiv:1604.06174).
+    ``fn`` must be deterministic.
+    """
+    parents = tuple(inputs) + tuple(params)
+    if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
+        return fn(*inputs)
+    with no_grad():
+        out = fn(*inputs)
+
+    def bwd(g):
+        leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
+        sources = leaves + list(params)
+        with _recording(True):  # ``grad`` may itself run inside no_grad
+            y = fn(*leaves)
+            got = grad(tsum(y * Tensor(g)), [t for t in sources if t.requires_grad])
+        return tuple(got.get(t) for t in sources)
+
+    return _make("checkpoint", out.data, parents, bwd)
 
 
 # -- backward pass -------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -165,6 +166,40 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(ckpt_io.CheckpointError, match="magic"):
         ckpt_io.load_checkpoint(p)
+
+
+def test_checkpoint_truncated_preamble_is_named(tmp_path):
+    p = tmp_path / "short.ckpt"
+    p.write_bytes(b"GRAD\x01\x00")
+    with pytest.raises(ckpt_io.CheckpointError, match=r"short\.ckpt: truncated preamble \(6 of 16 bytes\)"):
+        ckpt_io.load_checkpoint(p)
+    proc = run_cli("sample", p, 2, "--out", tmp_path / "x.g", check=False)
+    assert proc.returncode == 1
+    assert "truncated preamble" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path):
+    good = tmp_path / "m.ckpt"
+    ckpt_io.save_checkpoint(good, small_checkpoint())
+    data = good.read_bytes()
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(data[: 16 + hlen // 2])
+    with pytest.raises(ckpt_io.CheckpointError, match=r"cut\.ckpt: truncated header"):
+        ckpt_io.load_checkpoint(cut)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[:16] + data[16 : 16 + hlen // 2] + b" " * (hlen - hlen // 2) + data[16 + hlen :])
+    with pytest.raises(ckpt_io.CheckpointError, match=r"bad\.ckpt: truncated or corrupt header"):
+        ckpt_io.load_checkpoint(bad)
+
+
+def test_checkpoint_truncated_payload_is_named(tmp_path):
+    good = tmp_path / "m.ckpt"
+    ckpt_io.save_checkpoint(good, small_checkpoint())
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(good.read_bytes()[:-8])  # the last entry loses its last float
+    with pytest.raises(ckpt_io.CheckpointError, match=r"cut\.ckpt: truncated payload: tensor \S+ ends at byte"):
+        ckpt_io.load_checkpoint(cut)
 
 
 def test_resume_matches_straight_run():

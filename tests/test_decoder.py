@@ -480,3 +480,70 @@ def test_dataset_nll_matches_mean_graph_nll():
     with no_grad():
         expected = np.mean([float(graph_nll(ol, z, params).data) for ol, z in zip(train, store.codes)])
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+# -- step recomputation ------------------------------------------------------
+
+
+def test_checkpoint_crossover_picks_one_path_per_side(monkeypatch):
+    import gradgen.decoder as dec
+    from gradgen.tensorcore import engine as eng
+
+    cfg, params = make_params(seed=32)
+    monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", 5)
+    seen = []
+    plain = dec._ga_stack
+    monkeypatch.setattr(dec, "_ga_stack", lambda x, mask, gas: seen.append(mask.n) or plain(x, mask, gas))
+    recorded = []
+    ckpt = eng.checkpoint
+    monkeypatch.setattr(eng, "checkpoint", lambda fn, xs, ps: recorded.append(xs[0].shape[0]) or ckpt(fn, xs, ps))
+    ol = ordered(gen_cycles()[3])  # steps with m = 1..n
+    n = ol.n
+    z = Tensor(np.random.default_rng(33).standard_normal((n, cfg.d)), requires_grad=True)
+    grad(graph_nll(ol, z, params), [z])
+    # forward: steps below the constant run plainly, the rest inside checkpoint;
+    # backward: each checkpointed step runs its stack once more, last step first
+    assert recorded == list(range(5, n + 1))
+    assert seen == list(range(1, n + 1)) + list(range(n, 4, -1))
+
+
+def test_nan_in_a_recomputed_step_names_the_primitive(monkeypatch):
+    import gradgen.decoder as dec
+
+    monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", 1)  # every step recomputed
+    cfg = tiny_config(decoder_epochs=1, batch=3)
+    params = init_decoder_params(cfg, np.random.default_rng(34))
+    params.gas[0].ww1.data[0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+        RuntimeError, match=r"training diverged at epoch 0, graph \d+: primitive 'linear'"
+    ):
+        train_autodecoder(tiny_cycles(3), cfg, params=params)
+
+
+def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
+    """Memory guard: on the largest committed lobster training graph (n=100)
+    the tape that backward walks keeps under 3/4 of the nodes, and under 0.35
+    of the output bytes, that it keeps with every step's activations retained
+    (0.71 and 0.32 at CHECKPOINT_MIN_M = 50)."""
+    import os
+
+    import gradgen.decoder as dec
+    from gradgen.config import load_config
+    from gradgen.graphdata import load_graphs
+    from gradgen.tensorcore.engine import _linearize
+
+    results = os.path.join(os.path.dirname(__file__), os.pardir, "results", "acceptance")
+    cfg = load_config(os.path.join(results, "lobster.cfg"))
+    g = max(load_graphs(os.path.join(results, "lobster.ckpt.train.g")), key=lambda g: g.n)
+    assert g.n > dec.CHECKPOINT_MIN_M
+    ol = to_lower(g, order_nodes(g, cfg.ordering))
+    params = init_decoder_params(cfg, np.random.default_rng([cfg.seed, 0xDEC0]))
+    z0 = np.random.default_rng(35).uniform(-1.0, 1.0, (ol.n, cfg.d))
+    counts = []
+    for min_m in (dec.CHECKPOINT_MIN_M, ol.n + 1):
+        monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", min_m)
+        tape = _linearize(graph_nll(ol, Tensor(z0, requires_grad=True), params, k=cfg.K))
+        counts.append((len(tape), sum(node.data.nbytes for node in tape)))
+    (nodes, nbytes), (full_nodes, full_bytes) = counts
+    assert nodes < 0.75 * full_nodes
+    assert nbytes < 0.35 * full_bytes

@@ -4,6 +4,7 @@ import pytest
 from gradgen.tensorcore import (
     NonFiniteError,
     Tensor,
+    checkpoint,
     concat,
     exp,
     finite_checks,
@@ -239,15 +240,85 @@ def test_edge_attention_gradient():
     np.testing.assert_allclose(out[:, 4], v.data[:, 3], atol=1e-15)  # one neighbour: weight 1
 
 
-def test_masked_softmax_values_unchanged_without_exp_of_minus_inf():
-    r = np.random.default_rng(45)
-    x = r.standard_normal((3, 6, 6)) * 4
-    mask = r.random((6, 6)) < 0.4
-    mask[2] = False  # an empty row
+def _softmax_with_exp_of_minus_inf(x, mask):
     neg = np.where(mask, x, -np.inf)
     m = neg.max(axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(neg - m)
     s = e.sum(axis=-1, keepdims=True)
-    ref = e / np.where(s > 0.0, s, 1.0)
+    return e / np.where(s > 0.0, s, 1.0)
+
+
+def test_masked_softmax_values_unchanged_without_exp_of_minus_inf():
+    r = np.random.default_rng(45)
+    x = r.standard_normal((3, 6, 6)) * 4
+    mask = r.random((6, 6)) < 0.4
+    mask[2] = False  # an empty row
+    ref = _softmax_with_exp_of_minus_inf(x, mask)
     assert masked_softmax(Tensor(x), mask).data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 6, 40])
+def test_masked_softmax_complete_mask_values_unchanged(n):
+    x = np.random.default_rng(46).standard_normal((3, n, n)) * 4
+    mask = ~np.eye(n, dtype=bool)  # only the diagonal masked out: its own branch
+    ref = _softmax_with_exp_of_minus_inf(x, mask)
+    assert masked_softmax(Tensor(x), mask).data.tobytes() == ref.tobytes()
+
+
+# -- checkpoint ----------------------------------------------------------
+
+
+def _block(h, w, b):
+    """A small residual block that reads its input in three places."""
+    return layer_norm(h + tanh(h @ w), b, b) * h
+
+
+def test_checkpoint_matches_finite_differences():
+    wout = Tensor(np.random.default_rng(46).standard_normal((4, 3)))
+
+    def build(x, w, b):
+        return tsum(checkpoint(lambda h: _block(h, w, b), [x], [w, b]) * wout)
+
+    check_op(build, (4, 3), (3, 3), (3,), seed=47)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["all leaves", "parameters frozen"])
+def test_checkpoint_is_bitwise_equal_to_calling_fn(frozen):
+    r = np.random.default_rng(48)
+    arrays = [r.standard_normal(s) for s in ((5, 3), (3, 3), (3,))]
+    wout = Tensor(r.standard_normal((5, 3)))
+    results = []
+    for wrap in (False, True):
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        w.requires_grad = b.requires_grad = not frozen
+        fn = lambda h: _block(h, w, b)  # noqa: E731
+        y = checkpoint(fn, [x], [w, b]) if wrap else fn(x)
+        assert (y._opname == "checkpoint") == wrap
+        leaves = [x] if frozen else [x, w, b]
+        got = grad(tsum(y * wout), leaves)
+        results.append([y.data.tobytes()] + [got[t].tobytes() for t in leaves])
+    assert results[0] == results[1]
+
+
+def test_checkpoint_backward_inside_no_grad():
+    r = np.random.default_rng(49)
+    x = Tensor(r.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(r.standard_normal((3, 3)), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    loss = tsum(checkpoint(lambda h: _block(h, w, b), [x], [w, b]))
+    ref = grad(tsum(_block(x, w, b)), [x, w, b])
+    with no_grad():
+        got = grad(loss, [x, w, b])
+    for t in (x, w, b):
+        assert got[t].tobytes() == ref[t].tobytes()
+
+
+def test_checkpoint_without_a_tape_is_a_plain_call():
+    x = Tensor(np.ones((2, 3)))
+    w = Tensor(np.eye(3))
+    y = checkpoint(lambda h: h @ w, [x], [w])
+    assert y._opname == "leaf" and not y.requires_grad
+    with no_grad():
+        y = checkpoint(lambda h: h @ w, [Tensor(np.ones((2, 3)), requires_grad=True)], [w])
+    assert y._bwd is None
