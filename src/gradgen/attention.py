@@ -158,19 +158,15 @@ def init_ga_params(
     return GaParams(**t)
 
 
-def _head_mlp(z: Tensor, w1, b1, w2, b2) -> Tensor:
-    # (m, d) -> (H, m, out) via broadcasting over the head axis
-    return eng.linear(eng.relu(eng.linear(z, w1, b1)), w2, b2)
-
-
 def ga_forward(z: Tensor, mask: NeighborMask, params: GaParams) -> Tensor:
     """One GA layer over ``m`` nodes; output matches the input width."""
     m = z.shape[0]
     if mask.n != m:
         raise ValueError(f"mask covers {mask.n} nodes, features have {m}")
-    q = _head_mlp(z, params.wq1, params.bq1, params.wq2, params.bq2)
-    k = _head_mlp(z, params.wk1, params.bk1, params.wk2, params.bk2)
-    v = _head_mlp(z, params.wv1, params.bv1, params.wv2, params.bv2)
+    # (m, d) -> (H, m, d_s) via broadcasting over the head axis
+    q = eng.mlp(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
+    k = eng.mlp(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
+    v = eng.mlp(z, [(params.wv1, params.bv1), (params.wv2, params.bv2)])
     scale = params.d_s**-0.5
     if mask.fill > DENSE_FILL:
         logits = eng.attention_scores(q, k, scale)
@@ -181,5 +177,5 @@ def ga_forward(z: Tensor, mask: NeighborMask, params: GaParams) -> Tensor:
     stacked = eng.reshape(eng.transpose(mixed, (1, 0, 2)), (m, params.heads * params.d_s))
     delta = eng.linear(stacked, params.wp)
     normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)
-    ff = eng.linear(eng.relu(eng.linear(normed, params.ww1, params.bw1)), params.ww2, params.bw2)
+    ff = eng.mlp(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
     return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b, eps=LN_EPS)

@@ -48,9 +48,12 @@ CHECKPOINT_EVERY = 25  # epochs between periodic saves
 def worker_count() -> int:
     raw = os.environ.get("GRADGEN_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"GRADGEN_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def cmd_gen_data(args) -> None:

@@ -56,9 +56,7 @@ class Mlp3:
             setattr(self, f, tensors[f])
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = eng.relu(eng.linear(x, self.w1, self.b1))
-        h = eng.relu(eng.linear(h, self.w2, self.b2))
-        return eng.linear(h, self.w3, self.b3)
+        return eng.mlp(x, [(self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)])
 
     def tensors(self):
         for f in self.FIELDS:

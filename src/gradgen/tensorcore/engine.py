@@ -25,13 +25,13 @@ __all__ = [
     "neg",
     "matmul",
     "linear",
+    "mlp",
     "attention_scores",
     "transpose",
     "reshape",
     "concat",
     "narrow",
     "gather_rows",
-    "relu",
     "tanh",
     "exp",
     "log",
@@ -267,6 +267,47 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make("linear", data, (x, w, b), bwd)
 
 
+def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """Perceptron relu(x @ w1 + b1) ... @ wL + bL, recorded as one node.
+
+    ``layers`` lists the (w, b) pairs; each stage broadcasts like
+    :func:`linear`. Bias and ReLU are applied in place on each hidden GEMM
+    output, and only the post-ReLU activations are kept: their sign is the
+    ReLU mask of the backward pass. The backward formulas are those of a
+    chain of ``linear`` and ReLU nodes, so values and gradients are the same.
+    """
+    last = len(layers) - 1
+    hs = [x.data]  # the input of every layer
+    for i, (w, b) in enumerate(layers):
+        h = hs[-1] @ w.data
+        h += b.data
+        if _FINITE_CHECKS and not np.isfinite(h).all():
+            raise NonFiniteError(f"primitive 'linear' (layer {i + 1} of 'mlp') produced a non-finite value")
+        if i == last:
+            break
+        np.maximum(h, 0.0, out=h)
+        hs.append(h)
+
+    def bwd(g):
+        grads = [None] * (1 + 2 * len(layers))
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            hin = hs[i]
+            if w.requires_grad:
+                grads[2 * i + 1] = _unbroadcast(np.swapaxes(hin, -1, -2) @ g, w.data.shape)
+            if b.requires_grad:
+                grads[2 * i + 2] = _unbroadcast(g, b.data.shape)
+            if i > 0:
+                g = _unbroadcast(g @ np.swapaxes(w.data, -1, -2), hin.shape)
+                g *= hin > 0.0
+            elif x.requires_grad:
+                grads[0] = _unbroadcast(g @ np.swapaxes(w.data, -1, -2), hin.shape)
+        return tuple(grads)
+
+    parents = (x,) + tuple(t for layer in layers for t in layer)
+    return _make("mlp", h, parents, bwd)
+
+
 def attention_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
     """Fused scale * q @ k^T over the last two axes."""
     data = q.data @ np.swapaxes(k.data, -1, -2)
@@ -347,15 +388,6 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
 
 
 # -- pointwise nonlinearities --------------------------------------------
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def bwd(g):
-        return (g * (a.data > 0.0),)
-
-    return _make("relu", data, (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -528,9 +560,10 @@ def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray)
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    d = x.data.shape[-1]  # means as sum / d: ndarray.mean's own formula
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     data = y * gain.data + bias.data
@@ -541,7 +574,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if not x.requires_grad:
             return None, ggain, gbias
         gh = g * gain.data
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - y * (gh * y).mean(axis=-1, keepdims=True))
+        ghy = (gh * y).sum(axis=-1, keepdims=True) / d
+        gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d - y * ghy)
         return gx, ggain, gbias
 
     return _make("layer_norm", data, (x, gain, bias), bwd)

@@ -105,23 +105,45 @@ def brute_force_orbit_counts(g) -> np.ndarray:
     return counts
 
 
+def relu(a):
+    """ReLU as its own engine node, with the mask taken from its input."""
+    from gradgen.tensorcore import engine as eng
+
+    def bwd(g):
+        return (g * (a.data > 0.0),)
+
+    return eng._make("relu", np.maximum(a.data, 0.0), (a,), bwd)
+
+
+def mlp_chain(x, layers):
+    """relu(x @ w1 + b1) ... @ wL + bL as one ``linear`` node per layer and
+    one ``relu`` node per hidden activation: the reference for ``engine.mlp``."""
+    from gradgen.tensorcore import engine as eng
+
+    h = eng.linear(x, *layers[0])
+    for w, b in layers[1:]:
+        h = eng.linear(relu(h), w, b)
+    return h
+
+
 def dense_ga_forward(z, matrix, params):
     """One GA layer with dense (H, m, m) masked attention over the boolean
-    neighborhood ``matrix``: the reference for the edge-list kernel."""
-    from gradgen.attention import LN_EPS, _head_mlp
+    neighborhood ``matrix`` and unfused perceptrons: the reference for the
+    edge-list kernel and for ``engine.mlp``."""
+    from gradgen.attention import LN_EPS
     from gradgen.tensorcore import engine as eng
 
     m = z.shape[0]
-    q = _head_mlp(z, params.wq1, params.bq1, params.wq2, params.bq2)
-    k = _head_mlp(z, params.wk1, params.bk1, params.wk2, params.bk2)
-    v = _head_mlp(z, params.wv1, params.bv1, params.wv2, params.bv2)
+    q = mlp_chain(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
+    k = mlp_chain(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
+    v = mlp_chain(z, [(params.wv1, params.bv1), (params.wv2, params.bv2)])
     logits = eng.attention_scores(q, k, params.d_s**-0.5)
     attn = eng.masked_softmax(logits, matrix)
     mixed = eng.matmul(attn, v)
     stacked = eng.reshape(eng.transpose(mixed, (1, 0, 2)), (m, params.heads * params.d_s))
     delta = eng.linear(stacked, params.wp)
     normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)
-    ff = eng.linear(eng.relu(eng.linear(normed, params.ww1, params.bw1)), params.ww2, params.bw2)
+    ff = mlp_chain(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
     return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b, eps=LN_EPS)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradgen.attention import GaParams, NeighborMask, ga_forward, init_ga_params
-from gradgen.tensorcore import Tensor, grad, masked_softmax, tsum
+from gradgen.tensorcore import Tensor, grad, masked_softmax, mlp, tsum
 
 from conftest import assert_grads_match, numerical_grad
 
@@ -36,10 +36,8 @@ def test_single_neighbor_attention_weight_is_one():
     z = Tensor(np.random.default_rng(1).standard_normal((3, 6)))
     mask = NeighborMask.from_edges(3, [(0, 1)])
     # rebuild the attention weights the layer uses internally
-    from gradgen.attention import _head_mlp
-
-    q = _head_mlp(z, params.wq1, params.bq1, params.wq2, params.bq2)
-    k = _head_mlp(z, params.wk1, params.bk1, params.wk2, params.bk2)
+    q = mlp(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
+    k = mlp(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
     logits = (q @ Tensor(np.swapaxes(k.data, 1, 2))) * Tensor(params.d_s**-0.5)
     attn = masked_softmax(logits, mask.matrix).data
     assert attn[:, 0, 1] == pytest.approx(1.0)
@@ -52,10 +50,8 @@ def test_attention_rows_sum_to_one():
     n = 7
     mask = random_mask(n, 0.5, seed=4)
     z = Tensor(np.random.default_rng(5).standard_normal((n, 6)))
-    from gradgen.attention import _head_mlp
-
-    q = _head_mlp(z, params.wq1, params.bq1, params.wq2, params.bq2)
-    k = _head_mlp(z, params.wk1, params.bk1, params.wk2, params.bk2)
+    q = mlp(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
+    k = mlp(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
     logits = (q @ Tensor(np.swapaxes(k.data, 1, 2))) * Tensor(params.d_s**-0.5)
     attn = masked_softmax(logits, mask.matrix).data
     sums = attn.sum(-1)
@@ -226,6 +222,31 @@ def test_ga_forward_matches_dense_oracle(case):
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
     for (name, _), g, ref in zip([("z", None)] + list(params.tensors()), grads, ref_grads):
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("case", ["scaffold k=1", "scaffold k=2 dense side", "complete m=12"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["all leaves", "parameters frozen"])
+def test_fused_perceptrons_are_bitwise_equal_to_the_unfused_chain(case, frozen, monkeypatch):
+    from gradgen.tensorcore import engine as eng
+    from oracles import mlp_chain
+
+    mask = dict(oracle_cases())[case]
+    params = make_params(d_in=6, d_s=4, heads=3, seed=37)
+    rng = np.random.default_rng(38)
+    z0 = rng.standard_normal((mask.n, 6))
+    w = Tensor(rng.standard_normal((mask.n, 6)))
+    leaves = [] if frozen else [t for _, t in params.tensors()]
+    for _, t in params.tensors():
+        t.data = t.data + 0.3 * rng.standard_normal(t.shape)  # nonzero biases
+        t.requires_grad = not frozen
+    results = []
+    for perceptron in (eng.mlp, mlp_chain):
+        monkeypatch.setattr(eng, "mlp", perceptron)
+        z = Tensor(z0, requires_grad=True)
+        out = ga_forward(z, mask, params)
+        got = grad(tsum(out * w), [z] + leaves)
+        results.append([out.data.tobytes()] + [got[t].tobytes() for t in [z] + leaves])
+    assert results[0] == results[1]
 
 
 def test_fill_rule_picks_one_kernel_per_side(monkeypatch):

@@ -389,6 +389,17 @@ def test_eval_empty_set_fails(tmp_path, tiny_data):
     assert proc.stderr.strip()
 
 
+@pytest.mark.parametrize("raw", ["0", "-2", "two", ""])
+def test_bad_worker_count_is_a_named_error(raw, tmp_path, tiny_data):
+    env = dict(os.environ, GRADGEN_WORKERS=raw)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradgen.cli", "eval", tiny_data, tiny_data, "--out", tmp_path / "r.txt"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: GRADGEN_WORKERS must be a positive integer, got {raw!r}\n"
+
+
 def test_cli_reports_errors_on_stderr(tmp_path):
     proc = run_cli("sample", tmp_path / "missing.ckpt", 3, "--out", tmp_path / "x.g", check=False)
     assert proc.returncode == 1

@@ -21,7 +21,7 @@ from gradgen.decoder import (
     train_autodecoder,
 )
 from gradgen.graphdata import Graph, gen_cycles, order_nodes, to_lower
-from gradgen.tensorcore import Tensor, grad, no_grad
+from gradgen.tensorcore import Tensor, grad, no_grad, tsum
 
 from conftest import assert_grads_match, numerical_grad
 
@@ -520,12 +520,52 @@ def test_nan_in_a_recomputed_step_names_the_primitive(monkeypatch):
         train_autodecoder(tiny_cycles(3), cfg, params=params)
 
 
+def test_nan_in_a_perceptron_names_its_layer():
+    cfg = tiny_config(decoder_epochs=1, batch=3)
+    params = init_decoder_params(cfg, np.random.default_rng(36))
+    params.f_lam.w2.data[0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+        RuntimeError,
+        match=r"training diverged at epoch 0, graph \d+: primitive 'linear' \(layer 2 of 'mlp'\)",
+    ):
+        train_autodecoder(tiny_cycles(3), cfg, params=params)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["all leaves", "parameters frozen"])
+def test_mlp3_is_bitwise_equal_to_the_unfused_chain(frozen, monkeypatch):
+    from gradgen.tensorcore import engine as eng
+    from oracles import mlp_chain
+
+    _, params = make_params(seed=37)
+    mlp3 = params.f_lam
+    tensors = [t for _, t in mlp3.tensors()]
+    rng = np.random.default_rng(38)
+    for t in tensors:
+        t.data = t.data + 0.3 * rng.standard_normal(t.shape)  # nonzero biases
+        t.requires_grad = not frozen
+    x0 = rng.standard_normal((7, mlp3.w1.shape[0]))
+    w = Tensor(rng.standard_normal((7, mlp3.w3.shape[1])))
+    leaves = [] if frozen else tensors
+    results = []
+    for perceptron in (eng.mlp, mlp_chain):
+        monkeypatch.setattr(eng, "mlp", perceptron)
+        x = Tensor(x0, requires_grad=True)
+        out = mlp3(x)
+        got = grad(tsum(out * w), [x] + leaves)
+        results.append([out.data.tobytes()] + [got[t].tobytes() for t in [x] + leaves])
+    assert results[0] == results[1]
+
+
 def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     """Memory guard: on the largest committed lobster training graph (n=100)
     the tape that backward walks keeps under 3/4 of the nodes, and under 0.35
-    of the output bytes, that it keeps with every step's activations retained
-    (0.71 and 0.32 at CHECKPOINT_MIN_M = 50)."""
+    of the bytes, that it keeps with every step's activations retained
+    (3372 / 4545 nodes and 78.5 / 237.4 MB at CHECKPOINT_MIN_M = 50). Bytes
+    are what tracemalloc sees still allocated once the loss is built, so the
+    activations that a backward closure holds count too."""
+    import gc
     import os
+    import tracemalloc
 
     import gradgen.decoder as dec
     from gradgen.config import load_config
@@ -540,10 +580,18 @@ def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     params = init_decoder_params(cfg, np.random.default_rng([cfg.seed, 0xDEC0]))
     z0 = np.random.default_rng(35).uniform(-1.0, 1.0, (ol.n, cfg.d))
     counts = []
-    for min_m in (dec.CHECKPOINT_MIN_M, ol.n + 1):
-        monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", min_m)
-        tape = _linearize(graph_nll(ol, Tensor(z0, requires_grad=True), params, k=cfg.K))
-        counts.append((len(tape), sum(node.data.nbytes for node in tape)))
+    tracemalloc.start()
+    try:
+        for min_m in (dec.CHECKPOINT_MIN_M, ol.n + 1):
+            monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", min_m)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            loss = graph_nll(ol, Tensor(z0, requires_grad=True), params, k=cfg.K)
+            gc.collect()
+            counts.append((len(_linearize(loss)), tracemalloc.get_traced_memory()[0] - before))
+            del loss
+    finally:
+        tracemalloc.stop()
     (nodes, nbytes), (full_nodes, full_bytes) = counts
     assert nodes < 0.75 * full_nodes
     assert nbytes < 0.35 * full_bytes

@@ -16,15 +16,16 @@ from gradgen.tensorcore import (
     logsigmoid,
     logsumexp,
     masked_softmax,
+    mlp,
     narrow,
     no_grad,
-    relu,
     tanh,
     transpose,
     tsum,
 )
 
 from conftest import assert_grads_match, numerical_grad
+from oracles import relu
 
 rng = np.random.default_rng(0)
 
@@ -104,6 +105,30 @@ def test_layer_norm_affine_gradients():
         (4,),
         seed=6,
     )
+
+
+def _layer_norm_with_ndarray_mean(x, gain, bias, g, eps=1e-5):
+    """Value and gradients of layer_norm with its means taken by ndarray.mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    y = xc * inv
+    gh = g * gain
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - y * (gh * y).mean(axis=-1, keepdims=True))
+    return y * gain + bias, gx
+
+
+@pytest.mark.parametrize("d", [5, 32, 160])
+def test_layer_norm_is_bitwise_equal_to_ndarray_mean(d):
+    r = np.random.default_rng(50)
+    x0 = r.standard_normal((3, 7, d)) * 3.0 + 1.5
+    gain, bias, g = r.standard_normal(d), r.standard_normal(d), r.standard_normal((3, 7, d))
+    x = Tensor(x0, requires_grad=True)
+    out = layer_norm(x, Tensor(gain), Tensor(bias))
+    got = grad(tsum(out * Tensor(g)), [x])[x]
+    ref, ref_gx = _layer_norm_with_ndarray_mean(x0, gain, bias, g)
+    assert out.data.tobytes() == ref.tobytes()
+    assert got.tobytes() == ref_gx.tobytes()
 
 
 def test_layer_norm_moments():
@@ -322,3 +347,46 @@ def test_checkpoint_without_a_tape_is_a_plain_call():
     with no_grad():
         y = checkpoint(lambda h: h @ w, [Tensor(np.ones((2, 3)), requires_grad=True)], [w])
     assert y._bwd is None
+
+
+# -- mlp -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("head_bias", [True, False], ids=["bias (H, 1, h)", "bias (h,)"])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_mlp_matches_finite_differences(depth, head_bias):
+    # x is (m, d) and every weight is stacked over H = 3 heads
+    widths = [4, 3, 2, 3][: depth + 1]
+    shapes = [(5, widths[0])]
+    for d_in, d_out in zip(widths, widths[1:]):
+        shapes += [(3, d_in, d_out), (3, 1, d_out) if head_bias else (d_out,)]
+    wout = Tensor(np.random.default_rng(51).standard_normal((3, 5, widths[-1])))
+
+    def build(x, *flat):
+        return tsum(mlp(x, list(zip(flat[::2], flat[1::2]))) * wout)
+
+    check_op(build, *shapes, seed=52)
+
+
+@pytest.mark.parametrize(
+    "frozen, x_grad, expected",
+    [((0, 1, 2, 3), True, (0,)), ((0, 1), False, (3, 4)), ((2, 3), False, (1, 2))],
+    ids=["parameters frozen", "first layer frozen", "last layer frozen"],
+)
+def test_mlp_frozen_parameters_get_no_gradient(frozen, x_grad, expected):
+    r = np.random.default_rng(53)
+    x = Tensor(r.standard_normal((4, 3)), requires_grad=x_grad)
+    flat = [Tensor(r.standard_normal(s), requires_grad=True) for s in ((3, 5), (5,), (5, 2), (2,))]
+    for i in frozen:
+        flat[i].requires_grad = False
+    y = mlp(x, [(flat[0], flat[1]), (flat[2], flat[3])])
+    parts = y._bwd(np.ones(y.shape))
+    assert [i for i, p in enumerate(parts) if p is not None] == list(expected)
+
+
+def test_mlp_names_the_layer_that_is_not_finite():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    w = Tensor(np.ones((3, 3)))
+    bad = Tensor(np.full((3, 3), np.nan))
+    with finite_checks(), pytest.raises(NonFiniteError, match=r"primitive 'linear' \(layer 2 of 'mlp'\)"):
+        mlp(x, [(w, Tensor(np.zeros(3))), (bad, Tensor(np.zeros(3))), (w, Tensor(np.zeros(3)))])
