@@ -85,7 +85,7 @@ def _build_config(args) -> RunConfig:
         cfg.mode = args.mode
     if getattr(args, "ordering", None):
         cfg.ordering = args.ordering
-    if getattr(args, "block_size", None):
+    if getattr(args, "block_size", None) is not None:
         cfg.K = args.block_size
     return cfg.validate()
 
@@ -238,12 +238,16 @@ def draw_graphs(ckpt: ckpt_io.Checkpoint, count: int, mode: str, rng: np.random.
     sizes unless ``fixed_n`` is given; codes come from the inverse flow in mode
     ``grad`` and from a standard normal otherwise. Returns the graphs and one
     ``{n, flow_s, decoder_s}`` timing row per graph."""
+    if count < 1:
+        raise ConfigError(f"number of graphs must be at least 1, got {count}")
+    if fixed_n is not None and fixed_n < 1:
+        raise ConfigError(f"--fixed-n must be at least 1, got {fixed_n}")
     cfg = ckpt.config
     dist = SizeDistribution.from_sizes(ckpt.train_sizes)
     graphs = []
     rows = []
     for _ in range(count):
-        n = fixed_n if fixed_n else dist.sample(rng)
+        n = fixed_n if fixed_n is not None else dist.sample(rng)
         t0 = time.perf_counter()
         if mode == "grad":
             codes = sample_codes(n, ckpt.flow, cfg.sigma_sample, rng)

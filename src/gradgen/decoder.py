@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import GaParams, NeighborMask, ga_forward, init_ga_params
 from .config import RunConfig
-from .graphdata.core import Graph, OrderedLower, lower_edges, reconstruct
+from .graphdata.core import Graph, OrderedLower, lower_edges
 from .tensorcore import engine as eng
 from .tensorcore.engine import NonFiniteError, Tensor
 from .tensorcore.optim import AdamState, adam_step, lr_schedule, sgd_project_step
@@ -31,7 +31,6 @@ __all__ = [
     "DecoderParams",
     "LatentStore",
     "BlockParams",
-    "GenState",
     "Mlp3",
     "build_scaffold",
     "block_params",
@@ -42,7 +41,6 @@ __all__ = [
     "sample_block",
     "sample_graph",
     "init_decoder_params",
-    "prepare_steps",
 ]
 
 
@@ -119,18 +117,6 @@ class LatentStore:
 
 
 @dataclass
-class GenState:
-    """Decoder state between steps: generated rows plus carried node features."""
-
-    rows: list[np.ndarray] = field(default_factory=list)
-    carried: Tensor | None = None
-
-    @property
-    def n_prev(self) -> int:
-        return len(self.rows)
-
-
-@dataclass
 class BlockParams:
     """Edge-distribution parameters for one block: mixture logits over C
     components and per-putative-pair Bernoulli logits."""
@@ -150,18 +136,12 @@ class BlockParams:
         return eng.stable_sigmoid(self.lam_logits.data)
 
 
-def build_scaffold(rows: list[np.ndarray], n_prev: int, k: int) -> NeighborMask:
-    """Previously generated edges plus putative edges from each new node to all
-    other nodes (previous and new)."""
+def build_scaffold(lo_i: np.ndarray, lo_j: np.ndarray, n_prev: int, k: int) -> NeighborMask:
+    """Generated edges (lo_i, lo_j) among the first n_prev nodes plus putative
+    edges from each new node to all other nodes (previous and new); O(|E|)
+    apart from one sort of the previous nodes' edges."""
     if k < 1 or n_prev < 0:
         raise ValueError("need k >= 1 and n_prev >= 0")
-    lo_i, lo_j = lower_edges(rows[:n_prev])
-    return _scaffold(lo_i, lo_j, n_prev, k)
-
-
-def _scaffold(lo_i: np.ndarray, lo_j: np.ndarray, n_prev: int, k: int) -> NeighborMask:
-    """Scaffold from the generated edges (lo_i, lo_j) among the first n_prev
-    nodes; O(|E|) apart from one sort of the previous nodes' edges."""
     m = n_prev + k
     prev = np.arange(n_prev, dtype=np.intp)
     new = np.arange(n_prev, m, dtype=np.intp)
@@ -193,22 +173,28 @@ def _ga_stack(x: Tensor, mask: NeighborMask, gas: list[GaParams]) -> Tensor:
     return x
 
 
-def _run_block(
-    new_codes: Tensor,
+def block_params(
+    lo_i: np.ndarray,
+    lo_j: np.ndarray,
     carried: Tensor | None,
-    mask: NeighborMask,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
+    new_codes: Tensor | np.ndarray,
     params: DecoderParams,
 ) -> BlockParams:
+    """Run the GA stack on the scaffold over the generated edges (lo_i, lo_j)
+    and the carried features of the previous nodes, and emit this block's edge
+    distribution; ``features`` carries the refined embeddings to the next step."""
+    new_codes = new_codes if isinstance(new_codes, Tensor) else Tensor(new_codes)
+    k = new_codes.shape[0]
+    n_prev = 0 if carried is None else carried.shape[0]
+    mask = build_scaffold(lo_i, lo_j, n_prev, k)
+    pair_i, pair_j = _block_pairs(n_prev, k)
     x = new_codes if carried is None else eng.concat([carried, new_codes], axis=0)
     if mask.n >= CHECKPOINT_MIN_M:
         ga_params = [t for ga in params.gas for _, t in ga.tensors()]
         x = eng.checkpoint(lambda h: _ga_stack(h, mask, params.gas), [x], ga_params)
     else:
         x = _ga_stack(x, mask, params.gas)
-    n_prev = mask.n - new_codes.shape[0]
-    if new_codes.shape[0] == 1 and n_prev > 0:
+    if k == 1 and n_prev > 0:
         # single-row block: all pairs share node i, broadcast beats gathering
         diff = eng.narrow(x, 0, n_prev, 1) - eng.narrow(x, 0, 0, n_prev)
     elif len(pair_i):
@@ -218,19 +204,6 @@ def _run_block(
     lam_logits = params.f_lam(diff)
     pi_logits = eng.tsum(params.f_pi(diff), axis=0)
     return BlockParams(pi_logits=pi_logits, lam_logits=lam_logits, pair_i=pair_i, pair_j=pair_j, features=x)
-
-
-def block_params(state: GenState, new_codes: Tensor | np.ndarray, params: DecoderParams) -> BlockParams:
-    """Run the GA stack on the current scaffold and emit this block's edge
-    distribution; ``features`` carries the refined embeddings to the caller."""
-    new_codes = new_codes if isinstance(new_codes, Tensor) else Tensor(new_codes)
-    k = new_codes.shape[0]
-    n_prev = state.n_prev
-    if state.carried is not None and state.carried.shape[0] != n_prev:
-        raise ValueError("carried features out of sync with generated rows")
-    mask = build_scaffold(state.rows, n_prev, k)
-    pair_i, pair_j = _block_pairs(n_prev, k)
-    return _run_block(new_codes, state.carried, mask, pair_i, pair_j, params)
 
 
 def block_log_prob(observed: np.ndarray, bp: BlockParams) -> Tensor:
@@ -247,51 +220,44 @@ def block_log_prob(observed: np.ndarray, bp: BlockParams) -> Tensor:
     return eng.logsumexp(log_pi + comp)
 
 
-@dataclass
-class _StepPlan:
-    n_prev: int
-    k: int
-    mask: NeighborMask
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    eps: np.ndarray
+def _decode(codes: Tensor, params: DecoderParams, k: int, choose) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's one step loop, shared by teacher forcing and sampling.
+    Each step runs ``block_params`` on the edges so far, ``choose(n_prev, bp)``
+    returns the block's 0/1 pair vector (observed or drawn), and its edges are
+    appended. Returns the graph's edges (lo_i, lo_j) in row order."""
+    n = codes.shape[0]
+    lo_i = lo_j = np.empty(0, dtype=np.intp)
+    carried = None
+    for n_prev in range(0, n, k):
+        bp = block_params(lo_i, lo_j, carried, eng.narrow(codes, 0, n_prev, min(k, n - n_prev)), params)
+        hits = choose(n_prev, bp)
+        lo_i = np.concatenate([lo_i, bp.pair_i[hits]])
+        lo_j = np.concatenate([lo_j, bp.pair_j[hits]])
+        carried = bp.features
+    return lo_i, lo_j
 
 
-def prepare_steps(ol: OrderedLower, k: int) -> list[_StepPlan]:
-    """Teacher-forcing plan: per-step scaffolds, pair indices, observed bits."""
-    plans = []
-    n = ol.n
-    lo_i, lo_j = lower_edges(ol.rows)
-    # edges come in row order, so those among the first n_prev nodes are a prefix
-    prefix = np.searchsorted(lo_i, np.arange(0, n, k))
-    for t, n_prev in enumerate(range(0, n, k)):
-        kt = min(k, n - n_prev)
-        mask = _scaffold(lo_i[: prefix[t]], lo_j[: prefix[t]], n_prev, kt)
-        pair_i, pair_j = _block_pairs(n_prev, kt)
-        eps = np.zeros(len(pair_i))
-        offset = 0
-        for i in range(n_prev, n_prev + kt):
-            eps[offset + ol.rows[i]] = 1.0
-            offset += i
-        plans.append(_StepPlan(n_prev=n_prev, k=kt, mask=mask, pair_i=pair_i, pair_j=pair_j, eps=eps))
-    return plans
-
-
-def graph_nll(ol: OrderedLower, codes: Tensor | np.ndarray, params: DecoderParams, k: int = 1, plans=None) -> Tensor:
+def graph_nll(ol: OrderedLower, codes: Tensor | np.ndarray, params: DecoderParams, k: int = 1) -> Tensor:
     """Negative log-likelihood of an ordered graph under teacher forcing."""
     codes = codes if isinstance(codes, Tensor) else Tensor(codes)
-    if codes.shape[0] != ol.n:
+    n = ol.n
+    if codes.shape[0] != n:
         raise ValueError("codes row count must equal the node count")
-    if plans is None:
-        plans = prepare_steps(ol, k)
+    # observed bits over all row-major pairs; pair (i, j < i) has index i(i-1)/2 + j
+    lo_i, lo_j = lower_edges(ol.rows)
+    bits = np.zeros(n * (n - 1) // 2, dtype=bool)
+    bits[lo_i * (lo_i - 1) // 2 + lo_j] = True
     total = None
-    carried = None
-    for plan in plans:
-        new_codes = eng.narrow(codes, 0, plan.n_prev, plan.k)
-        bp = _run_block(new_codes, carried, plan.mask, plan.pair_i, plan.pair_j, params)
-        lp = block_log_prob(plan.eps, bp)
+
+    def observe(n_prev: int, bp: BlockParams) -> np.ndarray:
+        nonlocal total
+        start = n_prev * (n_prev - 1) // 2
+        eps = bits[start : start + len(bp.pair_i)]
+        lp = block_log_prob(eps, bp)
         total = lp if total is None else total + lp
-        carried = bp.features
+        return eps
+
+    _decode(codes, params, k, observe)
     return eng.neg(total)
 
 
@@ -323,19 +289,9 @@ def sample_graph(
     """Draw a graph of ``n`` nodes block by block."""
     if codes.shape[0] != n:
         raise ValueError("codes row count must equal the requested node count")
-    state = GenState()
     with eng.no_grad():
-        while state.n_prev < n:
-            kt = min(k, n - state.n_prev)
-            bp = block_params(state, codes[state.n_prev : state.n_prev + kt], params)
-            hits = sample_block(bp, rng)
-            new_rows = []
-            offset = 0
-            for i in range(state.n_prev, state.n_prev + kt):
-                new_rows.append(np.flatnonzero(hits[offset : offset + i]).astype(np.int64))
-                offset += i
-            state = GenState(rows=state.rows + new_rows, carried=bp.features)
-    return reconstruct(OrderedLower(perm=list(range(n)), rows=state.rows))
+        lo_i, lo_j = _decode(Tensor(codes), params, k, lambda n_prev, bp: sample_block(bp, rng))
+    return Graph(n, zip(lo_j.tolist(), lo_i.tolist()))
 
 
 # -- training ------------------------------------------------------------------
@@ -374,7 +330,6 @@ def train_autodecoder(
     if adam is None:
         adam = AdamState()
     param_list = params.as_dict()
-    plans = [prepare_steps(ol, cfg.K) for ol in train_ordered]
     learn_codes = cfg.mode != "grad_r"
     curve = []
     n_train = len(train_ordered)
@@ -391,7 +346,7 @@ def train_autodecoder(
             for gi in batch:
                 noisy = _noisy(store.codes[gi], cfg.decoder_noise, rng)
                 nll, pgrads, cgrads[gi] = _eval_checked(
-                    train_ordered[gi], noisy, params, param_list, learn_codes, cfg.K, plans[gi], epoch, gi
+                    train_ordered[gi], noisy, params, param_list, learn_codes, cfg.K, epoch, gi
                 )
                 epoch_nlls.append(nll)
                 for name in mean_pgrads:
@@ -409,9 +364,7 @@ def train_autodecoder(
                 try:
                     for gi in batch:
                         noisy = _noisy(store.codes[gi], cfg.decoder_noise, rng)
-                        _, _, cgrad = _eval_checked(
-                            train_ordered[gi], noisy, params, {}, True, cfg.K, plans[gi], epoch, gi
-                        )
+                        _, _, cgrad = _eval_checked(train_ordered[gi], noisy, params, {}, True, cfg.K, epoch, gi)
                         store.codes[gi] = _ascend(store.codes[gi], cgrad, cfg.delta)
                 finally:
                     for t in param_list.values():
@@ -431,17 +384,17 @@ def _ascend(z: np.ndarray, cgrad: np.ndarray, delta: float) -> np.ndarray:
     return sgd_project_step(z, -cgrad - z, delta)
 
 
-def _eval_checked(ol, noisy, params, param_list, learn_codes, k, plans, epoch, gi):
+def _eval_checked(ol, noisy, params, param_list, learn_codes, k, epoch, gi):
     """One evaluation: (nll value, param grads dict, code grad or None). A
     diverged objective is re-evaluated with per-op checks for a named diagnostic."""
     try:
         codes = Tensor(noisy, requires_grad=learn_codes)
-        loss = graph_nll(ol, codes, params, k=k, plans=plans)
+        loss = graph_nll(ol, codes, params, k=k)
         grads = eng.grad(loss, list(param_list.values()) + ([codes] if learn_codes else []))
     except NonFiniteError:
         with eng.finite_checks():
             try:
-                graph_nll(ol, Tensor(noisy), params, k=k, plans=plans)
+                graph_nll(ol, Tensor(noisy), params, k=k)
             except NonFiniteError as e:
                 raise RuntimeError(f"training diverged at epoch {epoch}, graph {gi}: {e}") from e
         raise

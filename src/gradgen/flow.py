@@ -199,13 +199,12 @@ def flow_nll(z: Tensor | np.ndarray, mask: NeighborMask, params: FlowParams) -> 
     return eng.neg(gauss + res.logdet)
 
 
-def sample_codes(n: int, params: FlowParams, sigma: float, rng: np.random.Generator, d: int | None = None) -> np.ndarray:
+def sample_codes(n: int, params: FlowParams, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Codes for ``n`` nodes: Gaussian draw at scale sigma inverted through the
     flow with a complete-graph neighborhood."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    d = d if d is not None else 2 * params.half_dim
-    y = sigma * rng.standard_normal((n, d))
+    y = sigma * rng.standard_normal((n, 2 * params.half_dim))
     return flow_inverse(y, NeighborMask.complete(n), params)
 
 
@@ -249,7 +248,7 @@ def train_flow(
 ):
     """Adam training on noise-perturbed codes with per-graph true-structure
     masks; the objective is per-node NLL averaged over the batch."""
-    codes = store.codes if hasattr(store, "codes") else list(store)
+    codes = store.codes
     if not codes:
         raise ValueError("latent store is empty")
     if len(codes) != len(ordered):

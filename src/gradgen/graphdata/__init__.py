@@ -3,6 +3,7 @@ from .core import (
     Graph,
     OrderedLower,
     SizeDistribution,
+    lower_edges,
     reconstruct,
     size_dist,
     split,
@@ -26,6 +27,7 @@ __all__ = [
     "make_community",
     "make_lobster",
     "load_graphs",
+    "lower_edges",
     "order_nodes",
     "reconstruct",
     "save_graphs",

@@ -12,6 +12,7 @@ __all__ = [
     "SizeDistribution",
     "DatasetSplit",
     "to_lower",
+    "lower_edges",
     "reconstruct",
     "size_dist",
     "split",

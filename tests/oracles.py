@@ -171,3 +171,27 @@ def sample_block_all_columns(bp, rng):
     with np.errstate(over="ignore", invalid="ignore"):
         lam = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
     return rng.random(len(lam)) < lam[:, comp]
+
+
+def sample_graph_rows(n, codes, params, rng, k=1):
+    """Block-by-block sampling that keeps the generated rows as a list and
+    extracts every edge from them again at each step: the reference for the
+    decoder's incremental edge arrays."""
+    from gradgen.decoder import block_params, sample_block
+    from gradgen.graphdata import OrderedLower, lower_edges, reconstruct
+    from gradgen.tensorcore import no_grad
+
+    rows = []
+    carried = None
+    with no_grad():
+        while len(rows) < n:
+            n_prev = len(rows)
+            kt = min(k, n - n_prev)
+            bp = block_params(*lower_edges(rows), carried, codes[n_prev : n_prev + kt], params)
+            hits = sample_block(bp, rng)
+            offset = 0
+            for i in range(n_prev, n_prev + kt):
+                rows.append(np.flatnonzero(hits[offset : offset + i]).astype(np.int64))
+                offset += i
+            carried = bp.features
+    return reconstruct(OrderedLower(perm=list(range(n)), rows=rows))

@@ -17,11 +17,11 @@ import pytest
 
 from gradgen.attention import NeighborMask, ga_forward, init_ga_params
 from gradgen.config import RunConfig
-from gradgen.decoder import GenState, block_log_prob, block_params, graph_nll, init_decoder_params
+from gradgen.decoder import block_log_prob, block_params, graph_nll, init_decoder_params
 from gradgen.evalstats import degree_stat, graph_stat, lobster_validity, mmd2, orbit_counts
 from gradgen.flow import flow_forward, flow_inverse, flow_nll, init_flow_params, train_flow
 from gradgen.decoder import LatentStore
-from gradgen.graphdata import Graph, load_graphs, order_nodes, to_lower
+from gradgen.graphdata import Graph, load_graphs, lower_edges, order_nodes, to_lower
 from gradgen.tensorcore import Tensor, grad
 
 from conftest import assert_grads_match, numerical_grad
@@ -152,8 +152,7 @@ def test_criterion_2_block_normalization():
         rows = []
         for i in range(n_prev):
             rows.append(np.flatnonzero(rng.random(i) < 0.4).astype(np.int64))
-        state = GenState(rows=rows, carried=Tensor(rng.standard_normal((n_prev, cfg.d))))
-        bp = block_params(state, rng.standard_normal((1, cfg.d)), dec)
+        bp = block_params(*lower_edges(rows), Tensor(rng.standard_normal((n_prev, cfg.d))), rng.standard_normal((1, cfg.d)), dec)
         total = 0.0
         for bits in itertools.product([0.0, 1.0], repeat=n_prev):
             total += float(np.exp(block_log_prob(np.array(bits), bp).data))

@@ -168,9 +168,10 @@ def test_ga_params_requires_all_fields():
 
 def scaffold_mask(rng, n_prev, k, p):
     from gradgen.decoder import build_scaffold
+    from gradgen.graphdata import lower_edges
 
     rows = [np.flatnonzero(rng.random(i) < p) for i in range(n_prev)]
-    return build_scaffold(rows, n_prev, k)
+    return build_scaffold(*lower_edges(rows), n_prev, k)
 
 
 def sparse_mask(n, n_edges, seed, isolated=()):

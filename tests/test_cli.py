@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradgen import checkpoint as ckpt_io
+from gradgen import cli
 from gradgen.config import ConfigError, RunConfig, format_config, load_config, parse_config
 from gradgen.decoder import LatentStore, init_decoder_params, train_autodecoder
 from gradgen.evalstats import STATISTICS
@@ -17,11 +18,22 @@ from gradgen.graphdata import gen_cycles, load_graphs, order_nodes, save_graphs,
 from gradgen.tensorcore.optim import AdamState
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def cli_env(**extra):
+    """The environment for a ``gradgen.cli`` subprocess: this checkout's
+    ``src`` first on the path, so no install is needed."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "gradgen.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
@@ -229,8 +241,6 @@ class _Interrupted(Exception):
 
 @pytest.mark.parametrize("phase,crash_epoch", [("decoder", 3), ("flow", 1)])
 def test_resumed_log_matches_straight_run(tmp_path, tiny_data, monkeypatch, phase, crash_epoch):
-    from gradgen import cli
-
     cfg = tmp_path / "resume.cfg"
     cfg.write_text(TINY_CFG.replace("decoder_epochs = 2", "decoder_epochs = 5").replace("flow_epochs = 2", "flow_epochs = 4"))
     monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
@@ -391,13 +401,46 @@ def test_eval_empty_set_fails(tmp_path, tiny_data):
 
 @pytest.mark.parametrize("raw", ["0", "-2", "two", ""])
 def test_bad_worker_count_is_a_named_error(raw, tmp_path, tiny_data):
-    env = dict(os.environ, GRADGEN_WORKERS=raw)
+    env = cli_env(GRADGEN_WORKERS=raw)
     proc = subprocess.run(
         [sys.executable, "-m", "gradgen.cli", "eval", tiny_data, tiny_data, "--out", tmp_path / "r.txt"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1
     assert proc.stderr == f"error: GRADGEN_WORKERS must be a positive integer, got {raw!r}\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny_ckpt")
+    save_graphs(root / "data.g", sorted(gen_cycles(), key=lambda g: g.n)[:10])
+    (root / "tiny.cfg").write_text(TINY_CFG)
+    ckpt = root / "model.ckpt"
+    run_cli("train", root / "data.g", "--config", root / "tiny.cfg", "--out", ckpt)
+    return ckpt
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["0"], "number of graphs must be at least 1, got 0"),
+        (["2", "--fixed-n", "0"], "--fixed-n must be at least 1, got 0"),
+        (["2", "--fixed-n", "-3"], "--fixed-n must be at least 1, got -3"),
+    ],
+    ids=["zero graphs", "fixed-n 0", "fixed-n -3"],
+)
+def test_sample_rejects_nonpositive_sizes(args, message, tiny_ckpt, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    out = tmp_path / "s.g"
+    assert cli.main(["sample", str(tiny_ckpt), *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "s.g.timing").exists()
+
+
+def test_block_size_zero_is_rejected(capsys):
+    # train and show-config share the flag's parsing; show-config cannot start a run
+    assert cli.main(["show-config", "--block-size", "0"]) == 1
+    assert capsys.readouterr().err == "error: config field 'K' must be positive\n"
 
 
 def test_cli_reports_errors_on_stderr(tmp_path):

@@ -7,7 +7,6 @@ from gradgen.attention import NeighborMask
 from gradgen.config import RunConfig
 from gradgen.decoder import (
     BlockParams,
-    GenState,
     LatentStore,
     block_log_prob,
     block_params,
@@ -15,12 +14,11 @@ from gradgen.decoder import (
     dataset_nll,
     graph_nll,
     init_decoder_params,
-    prepare_steps,
     sample_block,
     sample_graph,
     train_autodecoder,
 )
-from gradgen.graphdata import Graph, gen_cycles, order_nodes, to_lower
+from gradgen.graphdata import Graph, gen_cycles, lower_edges, order_nodes, to_lower
 from gradgen.tensorcore import Tensor, grad, no_grad, tsum
 
 from conftest import assert_grads_match, numerical_grad
@@ -48,14 +46,14 @@ def ordered(g: Graph, scheme="bfs"):
 
 
 def test_scaffold_first_step_single_node():
-    mask = build_scaffold([], 0, 1)
+    mask = build_scaffold(*lower_edges([]), 0, 1)
     assert mask.n == 1
     assert mask.matrix.sum() == 0
 
 
 def test_scaffold_two_prev_one_edge():
     rows = [np.array([], dtype=np.int64), np.array([0])]
-    mask = build_scaffold(rows, 2, 1)
+    mask = build_scaffold(*lower_edges(rows), 2, 1)
     assert set(mask.neighbors(2)) == {0, 1}
     assert set(mask.neighbors(0)) == {1, 2}
     assert set(mask.neighbors(1)) == {0, 2}
@@ -63,7 +61,7 @@ def test_scaffold_two_prev_one_edge():
 
 def test_scaffold_block_of_two_no_prev_edges():
     rows = [np.array([], dtype=np.int64), np.array([], dtype=np.int64)]
-    mask = build_scaffold(rows, 2, 2)
+    mask = build_scaffold(*lower_edges(rows), 2, 2)
     for new in (2, 3):
         assert set(mask.neighbors(new)) == {0, 1, 2, 3} - {new}
     # previous nodes gained only putative edges to the new block
@@ -76,20 +74,10 @@ def test_scaffold_matches_dense_oracle(n_prev, k):
 
     rng = np.random.default_rng(n_prev * 10 + k)
     rows = [np.flatnonzero(rng.random(i) < 0.3) for i in range(n_prev)]
-    mask = build_scaffold(rows, n_prev, k)
+    mask = build_scaffold(*lower_edges(rows), n_prev, k)
     ref = NeighborMask(dense_scaffold(rows, n_prev, k))
     for name in ("rows", "cols", "starts"):
         np.testing.assert_array_equal(getattr(mask, name), getattr(ref, name))
-
-
-def test_prepare_steps_scaffolds_match_build_scaffold():
-    g = gen_cycles()[7]
-    for k in (1, 3):
-        ol = ordered(g)
-        for plan in prepare_steps(ol, k):
-            ref = build_scaffold(ol.rows, plan.n_prev, plan.k)
-            np.testing.assert_array_equal(plan.mask.cols, ref.cols)
-            np.testing.assert_array_equal(plan.mask.starts, ref.starts)
 
 
 # -- block params ---------------------------------------------------------------
@@ -97,7 +85,7 @@ def test_prepare_steps_scaffolds_match_build_scaffold():
 
 def test_first_block_uniform_mixture():
     cfg, params = make_params()
-    bp = block_params(GenState(), np.zeros((1, cfg.d)), params)
+    bp = block_params(*lower_edges([]), None, np.zeros((1, cfg.d)), params)
     np.testing.assert_allclose(bp.pi(), np.full(cfg.C, 1.0 / cfg.C), atol=1e-12)
     assert bp.lam_logits.shape == (0, cfg.C)
 
@@ -105,8 +93,8 @@ def test_first_block_uniform_mixture():
 def test_lambda_in_open_unit_interval():
     cfg, params = make_params(seed=1)
     rng = np.random.default_rng(2)
-    state = GenState(rows=[np.array([], dtype=np.int64), np.array([0])], carried=Tensor(rng.standard_normal((2, cfg.d))))
-    bp = block_params(state, rng.standard_normal((1, cfg.d)), params)
+    rows = [np.array([], dtype=np.int64), np.array([0])]
+    bp = block_params(*lower_edges(rows), Tensor(rng.standard_normal((2, cfg.d))), rng.standard_normal((1, cfg.d)), params)
     lam = bp.lam()
     assert np.all(lam > 0.0) and np.all(lam < 1.0)
 
@@ -118,7 +106,7 @@ def test_relabeling_previous_nodes_preserves_lambda_multiset():
     rows = [np.array([], dtype=np.int64), np.array([0]), np.array([1]), np.array([0, 2])]
     carried = rng.standard_normal((4, cfg.d))
     new = rng.standard_normal((1, cfg.d))
-    bp = block_params(GenState(rows=list(rows), carried=Tensor(carried)), new, params)
+    bp = block_params(*lower_edges(rows), Tensor(carried), new, params)
 
     perm = [2, 0, 3, 1]  # relabel previous nodes
     pos = {old: new_i for new_i, old in enumerate(perm)}
@@ -131,7 +119,7 @@ def test_relabeling_previous_nodes_preserves_lambda_multiset():
         new_rows[a].append(b)
     rows_p = [np.array(sorted(r), dtype=np.int64) for r in new_rows]
     carried_p = carried[perm]
-    bp_p = block_params(GenState(rows=rows_p, carried=Tensor(carried_p)), new, params)
+    bp_p = block_params(*lower_edges(rows_p), Tensor(carried_p), new, params)
 
     lam = np.sort(bp.lam(), axis=0)
     lam_p = np.sort(bp_p.lam(), axis=0)
@@ -199,8 +187,8 @@ def test_block_distribution_normalizes():
 def test_block_normalizes_through_real_forward():
     cfg, params = make_params(seed=8)
     rng = np.random.default_rng(9)
-    state = GenState(rows=[np.array([], dtype=np.int64), np.array([0]), np.array([1])], carried=Tensor(rng.standard_normal((3, cfg.d))))
-    bp = block_params(state, rng.standard_normal((1, cfg.d)), params)
+    rows = [np.array([], dtype=np.int64), np.array([0]), np.array([1])]
+    bp = block_params(*lower_edges(rows), Tensor(rng.standard_normal((3, cfg.d))), rng.standard_normal((1, cfg.d)), params)
     assert brute_force_total_mass(bp, 3) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -219,21 +207,25 @@ def test_single_node_graph_nll_is_zero():
     assert float(nll.data) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_graph_nll_equals_sum_of_block_log_probs():
+@pytest.mark.parametrize("k", [1, 3])
+def test_graph_nll_equals_sum_of_block_log_probs(k):
+    # reference for graph_nll's incremental edge arrays: every step rebuilds
+    # its edges from the observed rows, and k does not divide n
     cfg, params = make_params(seed=11)
-    g = Graph(4, [(0, 1), (1, 2), (0, 3)])
-    ol = ordered(g)
-    codes = np.random.default_rng(12).standard_normal((4, cfg.d))
+    ol = ordered(gen_cycles()[6])
+    n = ol.n
+    assert n % 3 != 0
+    codes = np.random.default_rng(12).standard_normal((n, cfg.d))
     with no_grad():
-        total = float(graph_nll(ol, codes, params).data)
-        state = GenState()
+        total = float(graph_nll(ol, codes, params, k=k).data)
+        carried = None
         acc = 0.0
-        for i in range(4):
-            bp = block_params(state, codes[i : i + 1], params)
-            eps = np.zeros(i)
-            eps[ol.rows[i]] = 1.0
+        for n_prev in range(0, n, k):
+            kt = min(k, n - n_prev)
+            bp = block_params(*lower_edges(ol.rows[:n_prev]), carried, codes[n_prev : n_prev + kt], params)
+            eps = np.concatenate([np.isin(np.arange(i), ol.rows[i]) for i in range(n_prev, n_prev + kt)])
             acc += float(block_log_prob(eps, bp).data)
-            state = GenState(rows=state.rows + [ol.rows[i]], carried=bp.features)
+            carried = bp.features
     assert total == pytest.approx(-acc, rel=1e-12)
 
 
@@ -289,8 +281,7 @@ def test_monte_carlo_mass_matches_graph_nll():
             if history not in cache:
                 carried = cache[history[:-1]].features if history else None
                 rows = [np.array(r, dtype=np.int64) for r in history]
-                state = GenState(rows=rows, carried=carried)
-                cache[history] = block_params(state, codes[len(rows) : len(rows) + 1], params)
+                cache[history] = block_params(*lower_edges(rows), carried, codes[len(rows) : len(rows) + 1], params)
             return cache[history]
 
         rng = np.random.default_rng(17)
@@ -411,6 +402,21 @@ def test_sample_graph_matches_dense_oracle_path(monkeypatch):
     ref = sample_graph(70, codes, params, np.random.default_rng(31))
     assert g == ref
     assert 0 < g.num_edges() < 3 * 70
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, 9, 40])
+def test_sample_graph_matches_row_list_oracle(n, k):
+    from oracles import sample_graph_rows
+
+    cfg, params = make_params(seed=48)
+    params.f_lam.b3.data = params.f_lam.b3.data - 2.0  # neither empty nor complete
+    codes = np.random.default_rng(49).standard_normal((n, cfg.d))
+    rng, ref_rng = np.random.default_rng([50, n, k]), np.random.default_rng([50, n, k])
+    g = sample_graph(n, codes, params, rng, k=k)
+    ref = sample_graph_rows(n, codes, params, ref_rng, k=k)
+    assert g == ref
+    assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()
 
 
 # -- training ---------------------------------------------------------------
