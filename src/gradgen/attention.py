@@ -169,13 +169,11 @@ def ga_forward(z: Tensor, mask: NeighborMask, params: GaParams) -> Tensor:
     v = eng.mlp(z, [(params.wv1, params.bv1), (params.wv2, params.bv2)])
     scale = params.d_s**-0.5
     if mask.fill > DENSE_FILL:
-        logits = eng.attention_scores(q, k, scale)
-        mixed = eng.matmul(eng.masked_softmax(logits, mask.matrix), v)
+        mixed = eng.dense_attention(q, k, v, mask.matrix, scale)
     else:
         mixed = eng.edge_attention(q, k, v, mask.rows, mask.cols, scale)
-    # mixed: (H, m, d_s), zero rows where no neighbors
-    stacked = eng.reshape(eng.transpose(mixed, (1, 0, 2)), (m, params.heads * params.d_s))
-    delta = eng.linear(stacked, params.wp)
+    # mixed: (m, H * d_s), zero rows where no neighbors
+    delta = eng.matmul(mixed, params.wp)
     normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)
     ff = eng.mlp(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
     return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b, eps=LN_EPS)

@@ -18,7 +18,7 @@ from .attention import GaParams, NeighborMask, ga_forward, init_ga_params
 from .config import RunConfig
 from .graphdata.core import Graph, OrderedLower, lower_edges
 from .tensorcore import engine as eng
-from .tensorcore.engine import NonFiniteError, Tensor
+from .tensorcore.engine import Tensor
 from .tensorcore.optim import AdamState, adam_step, lr_schedule, sgd_project_step
 
 # Steps with at least this many nodes keep only the GA stack's output on the
@@ -387,16 +387,12 @@ def _ascend(z: np.ndarray, cgrad: np.ndarray, delta: float) -> np.ndarray:
 def _eval_checked(ol, noisy, params, param_list, learn_codes, k, epoch, gi):
     """One evaluation: (nll value, param grads dict, code grad or None). A
     diverged objective is re-evaluated with per-op checks for a named diagnostic."""
-    try:
-        codes = Tensor(noisy, requires_grad=learn_codes)
+    codes = Tensor(noisy, requires_grad=learn_codes)
+
+    def run():
         loss = graph_nll(ol, codes, params, k=k)
-        grads = eng.grad(loss, list(param_list.values()) + ([codes] if learn_codes else []))
-    except NonFiniteError:
-        with eng.finite_checks():
-            try:
-                graph_nll(ol, Tensor(noisy), params, k=k)
-            except NonFiniteError as e:
-                raise RuntimeError(f"training diverged at epoch {epoch}, graph {gi}: {e}") from e
-        raise
+        return loss, eng.grad(loss, list(param_list.values()) + ([codes] if learn_codes else []))
+
+    loss, grads = eng.run_diagnosed(run, f"training diverged at epoch {epoch}, graph {gi}")
     pgrads = {name: grads[t] for name, t in param_list.items()}
     return float(loss.data), pgrads, grads[codes] if learn_codes else None

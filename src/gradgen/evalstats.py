@@ -225,8 +225,11 @@ def mmd2(set_a: list[StatHistogram], set_b: list[StatHistogram], sigma: float = 
     variation is not a positive-definite kernel, so two sets drawn from one
     distribution can genuinely estimate below zero, not only by rounding.
     Negative estimates are clamped to zero, which biases the statistic
-    slightly upward; a non-finite estimate raises ``ValueError``.
+    slightly upward; a non-finite estimate and a bandwidth ``sigma`` that is
+    not positive raise ``ValueError``.
     """
+    if not sigma > 0:
+        raise ValueError(f"MMD bandwidth sigma must be positive, got {sigma}")
     if not set_a or not set_b:
         raise ValueError("both descriptor sets must be nonempty")
     kinds = {s.kind for s in set_a} | {s.kind for s in set_b}

@@ -18,7 +18,7 @@ from .attention import GaParams, NeighborMask, ga_forward, init_ga_params
 from .config import RunConfig
 from .graphdata.core import OrderedLower, lower_edges
 from .tensorcore import engine as eng
-from .tensorcore.engine import NonFiniteError, Tensor
+from .tensorcore.engine import Tensor
 from .tensorcore.optim import AdamState, adam_step, lr_schedule
 
 __all__ = [
@@ -280,11 +280,12 @@ def train_flow(
                 gi = int(gi)
                 z = codes[gi]
                 noisy = z + cfg.flow_noise * rng.standard_normal(z.shape) if cfg.flow_noise > 0 else z
-                try:
+
+                def run():
                     loss = flow_nll(noisy, masks[gi], params) * Tensor(1.0 / z.shape[0])
-                    grads = eng.grad(loss, list(param_list.values()))
-                except NonFiniteError as e:
-                    raise RuntimeError(f"flow training diverged at epoch {epoch}, graph {gi}: {e}") from e
+                    return loss, eng.grad(loss, list(param_list.values()))
+
+                loss, grads = eng.run_diagnosed(run, f"flow training diverged at epoch {epoch}, graph {gi}")
                 epoch_nlls.append(float(loss.data))
                 for name, t in param_list.items():
                     mean_grads[name] += grads[t]

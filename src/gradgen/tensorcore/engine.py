@@ -24,26 +24,22 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
-    "linear",
     "mlp",
-    "attention_scores",
-    "transpose",
-    "reshape",
     "concat",
     "narrow",
     "gather_rows",
     "tanh",
     "exp",
-    "log",
     "logsigmoid",
     "tsum",
     "logsumexp",
-    "masked_softmax",
+    "dense_attention",
     "edge_attention",
     "layer_norm",
     "logabsdet",
     "stable_sigmoid",
     "checkpoint",
+    "run_diagnosed",
 ]
 
 
@@ -76,8 +72,8 @@ def finite_checks(enabled: bool = True):
     """Validate every primitive output for NaN/Inf inside the block.
 
     Off by default: the per-op scan roughly doubles the cost of small-array
-    workloads. Training loops re-run a failing evaluation under this context
-    to name the offending primitive.
+    workloads. :func:`run_diagnosed` re-runs a failing evaluation under this
+    context to name the offending primitive.
     """
     global _FINITE_CHECKS
     prev = _FINITE_CHECKS
@@ -86,6 +82,24 @@ def finite_checks(enabled: bool = True):
         yield
     finally:
         _FINITE_CHECKS = prev
+
+
+def run_diagnosed(run: Callable[[], tuple], context: str) -> tuple:
+    """``run()``, which evaluates an objective and its gradients.
+
+    If it raises :class:`NonFiniteError`, ``run`` is repeated under
+    :func:`finite_checks`, and a ``RuntimeError`` that starts with
+    ``context`` names the primitive that produced the first non-finite value.
+    """
+    try:
+        return run()
+    except NonFiniteError as first:
+        with finite_checks():
+            try:
+                run()
+            except NonFiniteError as e:
+                raise RuntimeError(f"{context}: {e}") from e
+        raise RuntimeError(f"{context}: {first}") from first
 
 
 class Tensor:
@@ -147,16 +161,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
 
 
 def _lift(x) -> Tensor:
@@ -243,38 +247,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", data, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fused x @ w + b; ``b`` broadcasts over the row axes."""
-    data = x.data @ w.data
-    if b is not None:
-        data += b.data
-
-    if b is None:
-
-        def bwd(g):
-            gx = _unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.data.shape) if x.requires_grad else None
-            gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape) if w.requires_grad else None
-            return gx, gw
-
-        return _make("linear", data, (x, w), bwd)
-
-    def bwd(g):
-        gx = _unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.data.shape) if x.requires_grad else None
-        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape) if w.requires_grad else None
-        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
-        return gx, gw, gb
-
-    return _make("linear", data, (x, w, b), bwd)
-
-
 def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     """Perceptron relu(x @ w1 + b1) ... @ wL + bL, recorded as one node.
 
-    ``layers`` lists the (w, b) pairs; each stage broadcasts like
-    :func:`linear`. Bias and ReLU are applied in place on each hidden GEMM
-    output, and only the post-ReLU activations are kept: their sign is the
-    ReLU mask of the backward pass. The backward formulas are those of a
-    chain of ``linear`` and ReLU nodes, so values and gradients are the same.
+    ``layers`` lists the (w, b) pairs; each stage computes x @ w + b with
+    numpy broadcasting, so w may be stacked over heads (H, d, h). Bias and
+    ReLU are applied in place on each hidden GEMM output, and only the
+    post-ReLU activations are kept: their sign is the ReLU mask of the
+    backward pass. The backward formulas are those of a chain of fused
+    x @ w + b ('linear') and ReLU nodes, so values and gradients are the same;
+    a non-finite stage is reported as that chain's 'linear'.
     """
     last = len(layers) - 1
     hs = [x.data]  # the input of every layer
@@ -308,43 +290,7 @@ def mlp(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     return _make("mlp", h, parents, bwd)
 
 
-def attention_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """Fused scale * q @ k^T over the last two axes."""
-    data = q.data @ np.swapaxes(k.data, -1, -2)
-    data *= scale
-
-    def bwd(g):
-        gq = scale * (g @ k.data) if q.requires_grad else None
-        gk = scale * (np.swapaxes(g, -1, -2) @ q.data) if k.requires_grad else None
-        return gq, gk
-
-    return _make("attention_scores", data, (q, k), bwd)
-
-
 # -- shape surgery -------------------------------------------------------
-
-
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (np.transpose(g, inv),)
-
-    return _make("transpose", data, (a,), bwd)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.data.shape
-    data = a.data.reshape(shape)
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return _make("reshape", data, (a,), bwd)
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -418,15 +364,6 @@ def exp(a: Tensor) -> Tensor:
     return _make("exp", data, (a,), bwd)
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return _make("log", data, (a,), bwd)
-
-
 def logsigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)), stable for large |x|."""
     data = -np.logaddexp(0.0, -a.data)
@@ -475,37 +412,54 @@ def logsumexp(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
     return _make("logsumexp", out, (a,), bwd)
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to ``mask``; empty rows yield zeros.
+# -- attention -----------------------------------------------------------
 
-    ``mask`` is a boolean array broadcastable to ``logits.shape``; masked-out
-    positions receive exactly zero weight and no gradient.
+
+def dense_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float) -> Tensor:
+    """Softmax attention over a boolean (m, m) neighbourhood ``mask``.
+
+    ``q``, ``k`` and ``v`` are (H, m, d). Row i mixes the values of the
+    columns j with mask[i, j] by weights softmax_j(scale * q_i . k_j); rows
+    without neighbours yield zeros. The output is (m, H * d), the heads of
+    each node side by side. The backward pass keeps the (H, m, m) weights
+    but not the scores.
     """
-    x = logits.data
-    if _FINITE_CHECKS and not np.isfinite(np.where(mask, x, 0.0)).all():
-        raise NonFiniteError("primitive 'masked_softmax' received non-finite logits")
-    e = np.where(mask, x, -np.inf)
-    m = e.max(axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    n = len(mask) if mask.ndim == 2 else -1
-    if mask.shape == (n, n) and np.count_nonzero(mask) == n * n - n and not mask.diagonal().any():
-        e -= m  # only the diagonal masked out: too few exp(-inf) to matter
-        np.exp(e, out=e)
-    else:
+    heads = q.data.shape[0]
+    x = q.data @ np.swapaxes(k.data, -1, -2)
+    x *= scale
+    if _FINITE_CHECKS and not np.isfinite(x).all():
+        raise NonFiniteError("primitive 'dense_attention' produced non-finite scores")
+    np.copyto(x, -np.inf, where=~mask)
+    mx = x.max(axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    x -= mx
+    n = len(mask)
+    if np.count_nonzero(mask) != n * n - n or mask.diagonal().any():
         # exp(-inf) takes a slow path in numpy: exponentiate zeros at the
-        # masked-out entries instead, then zero them by the mask (same values)
-        np.subtract(x, m, out=e)
-        np.copyto(e, 0.0, where=~mask)
-        np.exp(e, out=e)
-        e *= mask
-    s = e.sum(axis=-1, keepdims=True)
-    out = e / np.where(s > 0.0, s, 1.0)
+        # masked-out entries instead, then zero them by the mask (same values);
+        # with only the diagonal masked out there are too few to matter
+        np.copyto(x, 0.0, where=~mask)
+        np.exp(x, out=x)
+        x *= mask
+    else:
+        np.exp(x, out=x)
+    s = x.sum(axis=-1, keepdims=True)
+    x /= np.where(s > 0.0, s, 1.0)
+    p = x  # the weights
 
     def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        g = _split_heads(g, heads)
+        gv = np.swapaxes(p, -1, -2) @ g if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        gx = g @ np.swapaxes(v.data, -1, -2)
+        gx -= (gx * p).sum(axis=-1, keepdims=True)
+        gx *= p  # the score gradient
+        gq = scale * (gx @ k.data) if q.requires_grad else None
+        gk = scale * (np.swapaxes(gx, -1, -2) @ q.data) if k.requires_grad else None
+        return gq, gk, gv
 
-    return _make("masked_softmax", out, (logits,), bwd)
+    return _make("dense_attention", _concat_heads(p @ v.data), (q, k, v), bwd)
 
 
 def edge_attention(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, cols: np.ndarray, scale: float) -> Tensor:
@@ -513,15 +467,15 @@ def edge_attention(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, cols: np.n
 
     ``q``, ``k`` and ``v`` are (H, m, d) and the edges are sorted by row. Row
     i mixes the values of the columns of its edges with weights
-    softmax_j(scale * q_i . k_j); rows without edges yield zeros. Scores and
-    their normalisation cost O(H * d * |E|); the weights are scattered into a
-    dense (H, m, m) array so that mixing and the backward contractions run as
-    BLAS matmuls.
+    softmax_j(scale * q_i . k_j); rows without edges yield zeros. The output
+    is (m, H * d), as for :func:`dense_attention`. Scores and their
+    normalisation cost O(H * d * |E|); the weights are scattered into a dense
+    (H, m, m) array so that mixing and the backward contractions run as BLAS
+    matmuls.
     """
-    heads, m, _ = q.data.shape
+    heads, m, d = v.data.shape
     if len(rows) == 0:
-        zeros = np.zeros((heads, m, v.data.shape[-1]))
-        return _make("edge_attention", zeros, (q, k, v), lambda g: (None, None, None))
+        return _make("edge_attention", np.zeros((m, heads * d)), (q, k, v), lambda g: (None, None, None))
     # segments: the runs of equal rows, one per row that has edges
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
     counts = np.diff(np.append(starts, len(rows)))
@@ -536,10 +490,14 @@ def edge_attention(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, cols: np.n
         full[:, rows, cols] = vals
         return full
 
-    data = scatter(w) @ v.data
+    data = _concat_heads(scatter(w) @ v.data)
 
     def bwd(g):
+        # the scatter is rebuilt here rather than kept from the forward pass:
+        # keeping it would hold one (H, m, m) array per layer on the tape,
+        # where the (H, |E|) weights are all the backward needs
         full = scatter(w)
+        g = _split_heads(g, heads)
         gv = np.swapaxes(full, -1, -2) @ g if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
@@ -551,6 +509,17 @@ def edge_attention(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, cols: np.n
         return gq, gk, gv
 
     return _make("edge_attention", data, (q, k, v), bwd)
+
+
+def _concat_heads(x: np.ndarray) -> np.ndarray:
+    """(H, m, d) -> (m, H * d): the heads of each node side by side."""
+    heads, m, d = x.shape
+    return np.transpose(x, (1, 0, 2)).reshape(m, heads * d)
+
+
+def _split_heads(g: np.ndarray, heads: int) -> np.ndarray:
+    """(m, H * d) -> (H, m, d), a view: the inverse of :func:`_concat_heads`."""
+    return np.transpose(g.reshape(g.shape[0], heads, -1), (1, 0, 2))
 
 
 def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

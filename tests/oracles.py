@@ -105,6 +105,12 @@ def brute_force_orbit_counts(g) -> np.ndarray:
     return counts
 
 
+# -- the unfused reference chain ------------------------------------------------
+# Engine nodes that the library no longer has: the fused ``engine.mlp``,
+# ``engine.dense_attention`` and ``engine.edge_attention`` are held to chains
+# of these. Each records its own node through the engine's ``_make``.
+
+
 def relu(a):
     """ReLU as its own engine node, with the mask taken from its input."""
     from gradgen.tensorcore import engine as eng
@@ -115,33 +121,113 @@ def relu(a):
     return eng._make("relu", np.maximum(a.data, 0.0), (a,), bwd)
 
 
+def linear(x, w, b=None):
+    """Fused x @ w + b; ``b`` broadcasts over the row axes."""
+    from gradgen.tensorcore import engine as eng
+
+    data = x.data @ w.data
+    if b is not None:
+        data += b.data
+
+    def bwd(g):
+        gx = eng._unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.data.shape) if x.requires_grad else None
+        gw = eng._unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape) if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, eng._unbroadcast(g, b.data.shape) if b.requires_grad else None
+
+    return eng._make("linear", data, (x, w) if b is None else (x, w, b), bwd)
+
+
+def attention_scores(q, k, scale):
+    """Fused scale * q @ k^T over the last two axes."""
+    from gradgen.tensorcore import engine as eng
+
+    data = q.data @ np.swapaxes(k.data, -1, -2)
+    data *= scale
+
+    def bwd(g):
+        gq = scale * (g @ k.data) if q.requires_grad else None
+        gk = scale * (np.swapaxes(g, -1, -2) @ q.data) if k.requires_grad else None
+        return gq, gk
+
+    return eng._make("attention_scores", data, (q, k), bwd)
+
+
+def masked_softmax(logits, mask):
+    """Softmax over the last axis restricted to the boolean ``mask``; empty
+    rows yield zeros. Two exponent branches, as in ``engine.dense_attention``:
+    masked-out entries are exponentiated as zeros and then zeroed, except when
+    only the diagonal of a square mask is masked out."""
+    from gradgen.tensorcore import engine as eng
+
+    x = logits.data
+    e = np.where(mask, x, -np.inf)
+    m = e.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    n = len(mask) if mask.ndim == 2 else -1
+    if mask.shape == (n, n) and np.count_nonzero(mask) == n * n - n and not mask.diagonal().any():
+        e -= m
+        np.exp(e, out=e)
+    else:
+        np.subtract(x, m, out=e)
+        np.copyto(e, 0.0, where=~mask)
+        np.exp(e, out=e)
+        e *= mask
+    s = e.sum(axis=-1, keepdims=True)
+    out = e / np.where(s > 0.0, s, 1.0)
+
+    def bwd(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return eng._make("masked_softmax", out, (logits,), bwd)
+
+
+def transpose(a, axes):
+    from gradgen.tensorcore import engine as eng
+
+    inv = tuple(np.argsort(axes))
+    return eng._make("transpose", np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
+
+
+def reshape(a, shape):
+    from gradgen.tensorcore import engine as eng
+
+    old = a.data.shape
+    return eng._make("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+
+
 def mlp_chain(x, layers):
     """relu(x @ w1 + b1) ... @ wL + bL as one ``linear`` node per layer and
     one ``relu`` node per hidden activation: the reference for ``engine.mlp``."""
+    h = linear(x, *layers[0])
+    for w, b in layers[1:]:
+        h = linear(relu(h), w, b)
+    return h
+
+
+def dense_attention_chain(q, k, v, matrix, scale):
+    """Scores, masked softmax, mixing and head concatenation as five nodes:
+    the reference for ``engine.dense_attention``."""
     from gradgen.tensorcore import engine as eng
 
-    h = eng.linear(x, *layers[0])
-    for w, b in layers[1:]:
-        h = eng.linear(relu(h), w, b)
-    return h
+    heads, m, d = v.shape
+    mixed = eng.matmul(masked_softmax(attention_scores(q, k, scale), matrix), v)
+    return reshape(transpose(mixed, (1, 0, 2)), (m, heads * d))
 
 
 def dense_ga_forward(z, matrix, params):
     """One GA layer with dense (H, m, m) masked attention over the boolean
     neighborhood ``matrix`` and unfused perceptrons: the reference for the
-    edge-list kernel and for ``engine.mlp``."""
+    edge-list kernel, ``engine.dense_attention`` and ``engine.mlp``."""
     from gradgen.attention import LN_EPS
     from gradgen.tensorcore import engine as eng
 
-    m = z.shape[0]
     q = mlp_chain(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
     k = mlp_chain(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
     v = mlp_chain(z, [(params.wv1, params.bv1), (params.wv2, params.bv2)])
-    logits = eng.attention_scores(q, k, params.d_s**-0.5)
-    attn = eng.masked_softmax(logits, matrix)
-    mixed = eng.matmul(attn, v)
-    stacked = eng.reshape(eng.transpose(mixed, (1, 0, 2)), (m, params.heads * params.d_s))
-    delta = eng.linear(stacked, params.wp)
+    delta = linear(dense_attention_chain(q, k, v, matrix, params.d_s**-0.5), params.wp)
     normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)
     ff = mlp_chain(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
     return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b, eps=LN_EPS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradgen.attention import GaParams, NeighborMask, ga_forward, init_ga_params
-from gradgen.tensorcore import Tensor, grad, masked_softmax, mlp, tsum
+from gradgen.tensorcore import Tensor, dense_attention, grad, mlp, tsum
 
 from conftest import assert_grads_match, numerical_grad
 
@@ -31,15 +31,21 @@ def test_mask_validation():
     assert NeighborMask.complete(4).matrix.sum() == 12
 
 
+def attention_weights(z, mask, params):
+    """The layer's (H, m, m) attention weights, read from the dense kernel by
+    mixing with v = identity."""
+    m, heads = z.shape[0], params.heads
+    q = mlp(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
+    k = mlp(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
+    eye = Tensor(np.broadcast_to(np.eye(m), (heads, m, m)))
+    mixed = dense_attention(q, k, eye, mask.matrix, params.d_s**-0.5).data
+    return mixed.reshape(m, heads, m).transpose(1, 0, 2)
+
+
 def test_single_neighbor_attention_weight_is_one():
     params = make_params()
     z = Tensor(np.random.default_rng(1).standard_normal((3, 6)))
-    mask = NeighborMask.from_edges(3, [(0, 1)])
-    # rebuild the attention weights the layer uses internally
-    q = mlp(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
-    k = mlp(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
-    logits = (q @ Tensor(np.swapaxes(k.data, 1, 2))) * Tensor(params.d_s**-0.5)
-    attn = masked_softmax(logits, mask.matrix).data
+    attn = attention_weights(z, NeighborMask.from_edges(3, [(0, 1)]), params)
     assert attn[:, 0, 1] == pytest.approx(1.0)
     assert attn[:, 1, 0] == pytest.approx(1.0)
     assert np.all(attn[:, 2, :] == 0.0)  # isolated node: empty row
@@ -48,15 +54,16 @@ def test_single_neighbor_attention_weight_is_one():
 def test_attention_rows_sum_to_one():
     params = make_params(seed=3)
     n = 7
-    mask = random_mask(n, 0.5, seed=4)
+    matrix = random_mask(n, 0.5, seed=4).matrix.copy()
+    matrix[2] = matrix[:, 2] = False  # an isolated node: its row is empty
+    mask = NeighborMask(matrix)
     z = Tensor(np.random.default_rng(5).standard_normal((n, 6)))
-    q = mlp(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
-    k = mlp(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
-    logits = (q @ Tensor(np.swapaxes(k.data, 1, 2))) * Tensor(params.d_s**-0.5)
-    attn = masked_softmax(logits, mask.matrix).data
+    attn = attention_weights(z, mask, params)
+    assert np.all(attn[:, ~mask.matrix] == 0.0)
     sums = attn.sum(-1)
     nonempty = mask.matrix.any(-1)
     assert np.abs(sums[:, nonempty] - 1.0).max() < 1e-10
+    assert np.all(sums[:, ~nonempty] == 0.0)
 
 
 def test_output_shape_and_finiteness():
@@ -255,13 +262,13 @@ def test_fill_rule_picks_one_kernel_per_side(monkeypatch):
     from gradgen.tensorcore import engine as eng
 
     used = []
-    for prim in ("edge_attention", "masked_softmax"):
+    for prim in ("edge_attention", "dense_attention"):
         fn = getattr(eng, prim)
         monkeypatch.setattr(eng, prim, lambda *a, _fn=fn, _p=prim: used.append(_p) or _fn(*a))
     params = make_params(seed=34)
     n = 20
     edges = int(DENSE_FILL * n * n / 2)  # each undirected edge fills two entries
-    for n_edges, kernel in ((edges, "edge_attention"), (edges + 1, "masked_softmax")):
+    for n_edges, kernel in ((edges, "edge_attention"), (edges + 1, "dense_attention")):
         mask = sparse_mask(n, n_edges, seed=35)
         used.clear()
         ga_forward(Tensor(np.random.default_rng(36).standard_normal((n, 6))), mask, params)

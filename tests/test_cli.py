@@ -391,6 +391,13 @@ def test_eval_self_is_zero(tmp_path, tiny_data):
         assert score <= 1e-12
 
 
+@pytest.mark.parametrize("sigma", ["0", "-1"])
+def test_eval_rejects_a_bandwidth_that_is_not_positive(sigma, tmp_path, tiny_data, capsys):
+    assert cli.main(["eval", tiny_data, tiny_data, "--sigma", sigma, "--out", str(tmp_path / "r.txt")]) == 1
+    assert capsys.readouterr().err == f"error: MMD bandwidth sigma must be positive, got {float(sigma)}\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_eval_empty_set_fails(tmp_path, tiny_data):
     empty = tmp_path / "empty.g"
     empty.write_text("")

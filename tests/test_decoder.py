@@ -564,14 +564,16 @@ def test_mlp3_is_bitwise_equal_to_the_unfused_chain(frozen, monkeypatch):
 
 def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     """Memory guard: on the largest committed lobster training graph (n=100)
-    the tape that backward walks keeps under 3/4 of the nodes, and under 0.35
-    of the bytes, that it keeps with every step's activations retained
-    (3372 / 4545 nodes and 78.5 / 237.4 MB at CHECKPOINT_MIN_M = 50). Bytes
-    are what tracemalloc sees still allocated once the loss is built, so the
-    activations that a backward closure holds count too."""
+    the tape that backward walks holds no GA layer of a recomputed step, only
+    one checkpoint node per such step, and it keeps under 0.35 of the bytes
+    that it keeps with every step's activations retained (3028 / 3997 nodes
+    and 73.4 / 224.4 MB at CHECKPOINT_MIN_M = 50). Bytes are what tracemalloc
+    sees still allocated once the loss is built, so the activations that a
+    backward closure holds count too."""
     import gc
     import os
     import tracemalloc
+    from collections import Counter
 
     import gradgen.decoder as dec
     from gradgen.config import load_config
@@ -586,18 +588,25 @@ def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     params = init_decoder_params(cfg, np.random.default_rng([cfg.seed, 0xDEC0]))
     z0 = np.random.default_rng(35).uniform(-1.0, 1.0, (ol.n, cfg.d))
     counts = []
+    min_m = dec.CHECKPOINT_MIN_M
     tracemalloc.start()
     try:
-        for min_m in (dec.CHECKPOINT_MIN_M, ol.n + 1):
-            monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", min_m)
+        for threshold in (min_m, ol.n + 1):
+            monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", threshold)
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             loss = graph_nll(ol, Tensor(z0, requires_grad=True), params, k=cfg.K)
             gc.collect()
-            counts.append((len(_linearize(loss)), tracemalloc.get_traced_memory()[0] - before))
+            ops = Counter(node._opname for node in _linearize(loss))
+            counts.append((ops, tracemalloc.get_traced_memory()[0] - before))
             del loss
     finally:
         tracemalloc.stop()
-    (nodes, nbytes), (full_nodes, full_bytes) = counts
-    assert nodes < 0.75 * full_nodes
+    (ops, nbytes), (full_ops, full_bytes) = counts
+    assert cfg.K == 1  # one step per m = 1..n
+    recomputed = ol.n - min_m + 1
+    layers = len(params.gas)
+    assert ops["checkpoint"] == recomputed
+    assert ops["dense_attention"] + ops["edge_attention"] == layers * (ol.n - recomputed)
+    assert full_ops["dense_attention"] + full_ops["edge_attention"] == layers * ol.n
     assert nbytes < 0.35 * full_bytes

@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,26 +10,25 @@ from gradgen.tensorcore import (
     Tensor,
     checkpoint,
     concat,
+    dense_attention,
+    edge_attention,
     exp,
     finite_checks,
     gather_rows,
     grad,
     layer_norm,
-    log,
     logabsdet,
     logsigmoid,
     logsumexp,
-    masked_softmax,
     mlp,
     narrow,
     no_grad,
     tanh,
-    transpose,
     tsum,
 )
 
 from conftest import assert_grads_match, numerical_grad
-from oracles import relu
+from oracles import attention_scores, dense_attention_chain, linear, masked_softmax, relu, reshape, transpose
 
 rng = np.random.default_rng(0)
 
@@ -55,6 +58,7 @@ def test_square_gradient_is_analytic():
 def test_add_mul_broadcast():
     check_op(lambda a, b: tsum((a + b) * a), (3, 4), (4,))
     check_op(lambda a, b: tsum(a * b), (2, 1, 4), (3, 4))
+    check_op(lambda a, b: tsum((a - b) * -a), (3, 4), (4,))
 
 
 def test_matmul_shapes():
@@ -62,32 +66,6 @@ def test_matmul_shapes():
     # broadcast over a leading head axis
     check_op(lambda a, b: tsum(a @ b), (5, 3, 4), (5, 4, 2))
     check_op(lambda a, b: tsum(a @ b), (3, 4), (5, 4, 2))
-
-
-def test_linear_fused():
-    from gradgen.tensorcore import linear
-
-    check_op(lambda x, w, b: tsum(linear(x, w, b) * linear(x, w, b)), (3, 4), (4, 2), (2,))
-    # stacked-head form with broadcast bias
-    check_op(lambda x, w, b: tsum(relu(linear(x, w, b))), (5, 4), (3, 4, 2), (3, 1, 2))
-    check_op(lambda x, w: tsum(linear(x, w)), (3, 4), (4, 2))
-
-
-def test_attention_scores_fused():
-    from gradgen.tensorcore import attention_scores
-
-    w = rng.standard_normal((2, 3, 3))
-    check_op(lambda q, k: tsum(attention_scores(q, k, 0.5) * Tensor(w)), (2, 3, 4), (2, 3, 4), seed=2)
-
-
-def test_softmax_then_dot_matches_finite_differences():
-    w = rng.standard_normal(5)
-
-    def build(x):
-        full = np.ones((5,), dtype=bool)
-        return tsum(masked_softmax(x, full) * Tensor(w))
-
-    check_op(build, (5,), seed=3)
 
 
 def test_layer_norm_sum_matches_finite_differences():
@@ -138,32 +116,10 @@ def test_layer_norm_moments():
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-8
 
 
-def test_masked_softmax_rows():
-    logits = Tensor(rng.standard_normal((6, 6)))
-    mask = rng.random((6, 6)) < 0.5
-    np.fill_diagonal(mask, False)
-    mask[3] = False  # empty neighborhood row
-    out = masked_softmax(logits, mask).data
-    assert np.all(out >= 0.0)
-    assert np.all(out[~mask] == 0.0)
-    sums = out.sum(axis=-1)
-    nonempty = mask.any(axis=-1)
-    assert np.abs(sums[nonempty] - 1.0).max() < 1e-12
-    assert np.all(sums[~nonempty] == 0.0)
-
-
-def test_masked_softmax_gradient():
-    mask = rng.random((4, 4)) < 0.6
-    mask[2] = False
-    w = rng.standard_normal((4, 4))
-    check_op(lambda x: tsum(masked_softmax(x, mask) * Tensor(w)), (4, 4), seed=7)
-
-
 def test_pointwise_gradients():
     check_op(lambda x: tsum(relu(x) * relu(x)), (11,), seed=8)
     check_op(lambda x: tsum(logsigmoid(x)), (7,), seed=10)
     check_op(lambda x: tsum(exp(x * Tensor(0.3))), (5,), seed=11)
-    check_op(lambda x: tsum(log(exp(x) + Tensor(1.0))), (5,), seed=12)
 
 
 def test_logsigmoid_is_stable_far_from_zero():
@@ -185,7 +141,7 @@ def test_logsumexp_matches_numpy_and_fd():
 def test_reductions_and_shape_ops():
     check_op(lambda x: tsum(x, axis=0).sum(), (3, 4), seed=15)
     check_op(lambda x: tsum(transpose(x, (1, 0)) @ x), (3, 4), seed=17)
-    check_op(lambda x: tsum(x.reshape(2, 6) @ x.reshape(6, 2)), (3, 4), seed=18)
+    check_op(lambda x: tsum(reshape(x, (2, 6)) @ reshape(x, (6, 2))), (3, 4), seed=18)
     check_op(lambda a, b: tsum(concat([a, b], axis=1) * concat([b, a], axis=1)), (2, 3), (2, 3), seed=19)
     check_op(lambda x: tsum(narrow(x, 1, 1, 2) * narrow(x, 1, 0, 2)), (3, 4), seed=20)
 
@@ -251,18 +207,115 @@ def test_deep_chain_does_not_recurse():
     assert grad(y, [x])[x] == pytest.approx(1.0)
 
 
-def test_edge_attention_gradient():
-    from gradgen.tensorcore import edge_attention
+# -- attention -----------------------------------------------------------
 
+
+def test_edge_attention_gradient():
     # 5 nodes; node 2 has no edges, node 4 a single one
     rows = np.array([0, 0, 1, 1, 3, 3, 3, 4])
     cols = np.array([1, 3, 0, 3, 0, 1, 4, 3])
-    w = Tensor(np.random.default_rng(40).standard_normal((2, 5, 3)))
+    w = Tensor(np.random.default_rng(40).standard_normal((5, 6)))
     check_op(lambda q, k, v: tsum(edge_attention(q, k, v, rows, cols, 0.7) * w), (2, 5, 3), (2, 5, 3), (2, 5, 3), seed=41)
     q, k, v = (Tensor(np.random.default_rng(s).standard_normal((2, 5, 3))) for s in (42, 43, 44))
-    out = edge_attention(q, k, v, rows, cols, 0.7).data
-    assert np.all(out[:, 2] == 0.0)
-    np.testing.assert_allclose(out[:, 4], v.data[:, 3], atol=1e-15)  # one neighbour: weight 1
+    out = edge_attention(q, k, v, rows, cols, 0.7).data.reshape(5, 2, 3)  # (m, H, d)
+    assert np.all(out[2] == 0.0)
+    np.testing.assert_allclose(out[4], v.data[:, 3], atol=1e-15)  # one neighbour: weight 1
+
+
+def _attention_mask(kind, n=5, seed=0):
+    if kind == "complete":
+        return ~np.eye(n, dtype=bool)  # only the diagonal masked out: its own branch
+    if kind == "all pairs":
+        return np.ones((n, n), dtype=bool)
+    mask = np.random.default_rng(seed).random((n, n)) < 0.6
+    if kind == "empty rows":
+        mask[[1, 3]] = False
+    return mask
+
+
+@pytest.mark.parametrize("kind", ["dense", "complete", "empty rows"])
+def test_dense_attention_gradient(kind):
+    mask = _attention_mask(kind, seed=55)
+    w = Tensor(np.random.default_rng(56).standard_normal((5, 6)))
+    check_op(lambda q, k, v: tsum(dense_attention(q, k, v, mask, 0.7) * w), (2, 5, 3), (2, 5, 3), (2, 5, 3), seed=57)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("complete", 1), ("complete", 6), ("complete", 40), ("all pairs", 6), ("dense", 6), ("empty rows", 6)],
+)
+@pytest.mark.parametrize("frozen", [(), ("q", "k"), ("v",)], ids=["all leaves", "q k frozen", "v frozen"])
+def test_dense_attention_is_bitwise_equal_to_the_oracle_chain(kind, n, frozen):
+    r = np.random.default_rng(58)
+    mask = _attention_mask(kind, n, seed=59)
+    arrays = [r.standard_normal((3, n, 4)) * 4 for _ in "qkv"]
+    g = Tensor(r.standard_normal((n, 12)))
+    results = []
+    for attend in (dense_attention, dense_attention_chain):
+        q, k, v = (Tensor(a, requires_grad=name not in frozen) for a, name in zip(arrays, "qkv"))
+        out = attend(q, k, v, mask, 0.5)
+        leaves = [t for t, name in zip((q, k, v), "qkv") if name not in frozen]
+        got = grad(tsum(out * g), leaves)
+        results.append([out.data.tobytes()] + [got[t].tobytes() for t in leaves])
+    assert results[0] == results[1]
+
+
+def test_dense_attention_keeps_the_weights_but_not_the_scores():
+    r = np.random.default_rng(60)
+    q, k, v = (Tensor(r.standard_normal((2, 30, 4)), requires_grad=True) for _ in "qkv")
+    out = dense_attention(q, k, v, _attention_mask("complete", 30), 0.5)
+    kept = [c.cell_contents for c in out._bwd.__closure__]
+    square = [a for a in kept if isinstance(a, np.ndarray) and a.shape == (2, 30, 30)]
+    assert len(square) == 1
+    np.testing.assert_allclose(square[0].sum(axis=-1), 1.0, atol=1e-12)
+
+
+# -- the reference chain ------------------------------------------------
+# The fused kernels are held, bit for bit, to the unfused chain in
+# tests/oracles.py, so the nodes of that chain keep their own checks.
+
+
+def test_linear_fused():
+    check_op(lambda x, w, b: tsum(linear(x, w, b) * linear(x, w, b)), (3, 4), (4, 2), (2,))
+    # stacked-head form with broadcast bias
+    check_op(lambda x, w, b: tsum(relu(linear(x, w, b))), (5, 4), (3, 4, 2), (3, 1, 2))
+    check_op(lambda x, w: tsum(linear(x, w)), (3, 4), (4, 2))
+
+
+def test_attention_scores_fused():
+    w = rng.standard_normal((2, 3, 3))
+    check_op(lambda q, k: tsum(attention_scores(q, k, 0.5) * Tensor(w)), (2, 3, 4), (2, 3, 4), seed=2)
+
+
+def test_softmax_then_dot_matches_finite_differences():
+    w = rng.standard_normal(5)
+
+    def build(x):
+        full = np.ones((5,), dtype=bool)
+        return tsum(masked_softmax(x, full) * Tensor(w))
+
+    check_op(build, (5,), seed=3)
+
+
+def test_masked_softmax_rows():
+    logits = Tensor(rng.standard_normal((6, 6)))
+    mask = rng.random((6, 6)) < 0.5
+    np.fill_diagonal(mask, False)
+    mask[3] = False  # empty neighborhood row
+    out = masked_softmax(logits, mask).data
+    assert np.all(out >= 0.0)
+    assert np.all(out[~mask] == 0.0)
+    sums = out.sum(axis=-1)
+    nonempty = mask.any(axis=-1)
+    assert np.abs(sums[nonempty] - 1.0).max() < 1e-12
+    assert np.all(sums[~nonempty] == 0.0)
+
+
+def test_masked_softmax_gradient():
+    mask = rng.random((4, 4)) < 0.6
+    mask[2] = False
+    w = rng.standard_normal((4, 4))
+    check_op(lambda x: tsum(masked_softmax(x, mask) * Tensor(w)), (4, 4), seed=7)
 
 
 def _softmax_with_exp_of_minus_inf(x, mask):
@@ -390,3 +443,57 @@ def test_mlp_names_the_layer_that_is_not_finite():
     bad = Tensor(np.full((3, 3), np.nan))
     with finite_checks(), pytest.raises(NonFiniteError, match=r"primitive 'linear' \(layer 2 of 'mlp'\)"):
         mlp(x, [(w, Tensor(np.zeros(3))), (bad, Tensor(np.zeros(3))), (w, Tensor(np.zeros(3)))])
+
+
+# -- coverage of the gradient checks ---------------------------------------
+
+_OPERATORS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.MatMult: "matmul", ast.USub: "neg"}
+
+
+def _names_in_gradient_checks() -> set[str]:
+    """Engine names that a test function of this directory calls while it
+    runs a central-difference check: names called directly or through the
+    engine module, and the Tensor operators in the expressions that
+    ``check_op`` differentiates, whose operands are all tensors."""
+    names = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+            if not {c.func.id for c in calls} & {"check_op", "numerical_grad"}:
+                continue
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "eng":
+                    names.add(n.attr)
+            for c in calls:
+                if c.func.id == "check_op" and c.args:
+                    names.update(_OPERATORS[type(n.op)] for n in ast.walk(c.args[0]) if _tensor_operator(n))
+    return names
+
+
+def _tensor_operator(n: ast.AST) -> bool:
+    """An arithmetic operator with an operand that is not a literal (so not
+    the ``-1`` of ``axis=-1``)."""
+    if isinstance(n, ast.BinOp):
+        operands = (n.left, n.right)
+    elif isinstance(n, ast.UnaryOp):
+        operands = (n.operand,)
+    else:
+        return False
+    return type(n.op) in _OPERATORS and not all(isinstance(o, ast.Constant) for o in operands)
+
+
+def test_every_recording_primitive_has_a_gradient_check():
+    from gradgen.tensorcore import engine as eng
+
+    recording = [
+        name
+        for name in eng.__all__
+        if inspect.isfunction(getattr(eng, name)) and "_make(" in inspect.getsource(getattr(eng, name))
+    ]
+    assert {"add", "neg", "mlp", "dense_attention", "edge_attention", "checkpoint"} <= set(recording)
+    missing = sorted(set(recording) - _names_in_gradient_checks())
+    assert not missing, f"engine primitives without a central-difference check: {missing}"

@@ -296,6 +296,20 @@ def test_flow_training_is_deterministic():
         np.testing.assert_array_equal(t1.data, t2.data)
 
 
+def test_nan_in_a_flow_weight_names_the_primitive():
+    cfg = flow_config(flow_epochs=1, batch=2)
+    ordered = chain_graphs(2, 5)
+    rng = np.random.default_rng(36)
+    store = LatentStore([np.clip(rng.standard_normal((5, cfg.d)) * 0.5, -1, 1) for _ in range(2)])
+    _, params = make_flow(cfg, seed=37)
+    params.steps[0].g[0].wq2.data[0, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+        RuntimeError,
+        match=r"flow training diverged at epoch 0, graph \d+: primitive 'linear' \(layer 2 of 'mlp'\)",
+    ):
+        train_flow(store, ordered, cfg, params=params)
+
+
 def test_singular_mixing_matrix_rejected():
     cfg, params = make_flow(seed=35)
     params.steps[0].w1.data = np.zeros((cfg.d // 2, cfg.d // 2))
