@@ -25,6 +25,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 7
 QUICK = False
+STAGES = ("lobster", "cycles", "smoke", "grad_r", "k2", "k8")
 
 # tiny settings for a plumbing dry run; results are meaningless quality-wise
 QUICK_OVERRIDES = dict(
@@ -75,7 +76,7 @@ def main() -> int:
     global QUICK
     ap = argparse.ArgumentParser()
     ap.add_argument("--results", default=os.path.join(ROOT, "results", "acceptance"))
-    ap.add_argument("--only", nargs="*", help="run only these stages", default=None)
+    ap.add_argument("--only", nargs="+", choices=STAGES, help="run only these stages", default=None)
     ap.add_argument("--quick", action="store_true", help="tiny configs; plumbing dry run only")
     args = ap.parse_args()
     QUICK = args.quick

@@ -16,8 +16,6 @@ from .tensorcore.engine import Tensor
 
 __all__ = ["NeighborMask", "GaParams", "ga_forward", "init_ga_params"]
 
-LN_EPS = 1e-5
-
 # Masks with a larger share |E| / m^2 of edges attend through dense (H, m, m)
 # scores; sparser ones score and normalise their edge list only.
 DENSE_FILL = 0.1
@@ -27,22 +25,20 @@ class NeighborMask:
     """Symmetric neighborhoods without self-loops, held as a sorted edge list.
 
     ``rows`` and ``cols`` list every directed edge (i, j), sorted by row and
-    then column: node j belongs to node i's neighborhood. Row i's edges are
-    ``starts[i]:starts[i + 1]``. ``matrix`` is the dense boolean form, built
-    on first use.
+    then column: node j belongs to node i's neighborhood. ``matrix`` is the
+    dense boolean form, built on first use.
     """
 
-    __slots__ = ("n", "rows", "cols", "starts", "_matrix")
+    __slots__ = ("n", "rows", "cols", "_matrix")
 
-    def __init__(self, matrix: np.ndarray, validate: bool = True):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=bool)
-        if validate:
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("neighbor mask must be square")
-            if matrix.trace() != 0:
-                raise ValueError("nodes cannot neighbor themselves")
-            if not np.array_equal(matrix, matrix.T):
-                raise ValueError("neighborhoods must be symmetric")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("neighbor mask must be square")
+        if matrix.trace() != 0:
+            raise ValueError("nodes cannot neighbor themselves")
+        if not np.array_equal(matrix, matrix.T):
+            raise ValueError("neighborhoods must be symmetric")
         rows, cols = np.nonzero(matrix)
         self._set(matrix.shape[0], rows, cols)
         self._matrix = matrix
@@ -51,8 +47,6 @@ class NeighborMask:
         self.n = n
         self.rows = rows.astype(np.intp, copy=False)
         self.cols = cols.astype(np.intp, copy=False)
-        self.starts = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.rows, minlength=n), out=self.starts[1:])
         self._matrix = None
 
     @classmethod
@@ -74,7 +68,7 @@ class NeighborMask:
     def complete(cls, n: int) -> "NeighborMask":
         m = np.ones((n, n), dtype=bool)
         np.fill_diagonal(m, False)
-        return cls(m, validate=False)
+        return cls(m)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -88,9 +82,6 @@ class NeighborMask:
     def fill(self) -> float:
         """Fraction |E| / n^2 of the n x n pairs that are edges."""
         return len(self.cols) / max(1, self.n * self.n)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.cols[self.starts[i] : self.starts[i + 1]]
 
 
 class GaParams:
@@ -174,6 +165,6 @@ def ga_forward(z: Tensor, mask: NeighborMask, params: GaParams) -> Tensor:
         mixed = eng.edge_attention(q, k, v, mask.rows, mask.cols, scale)
     # mixed: (m, H * d_s), zero rows where no neighbors
     delta = eng.matmul(mixed, params.wp)
-    normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)
+    normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b)
     ff = eng.mlp(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
-    return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b, eps=LN_EPS)
+    return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .decoder import DecoderParams, LatentStore, init_decoder_params
 from .flow import FlowParams, init_flow_params
 from .tensorcore.optim import AdamState
@@ -130,19 +130,35 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         return arr.reshape(shape).astype(np.float64)
 
-    table = {e["name"]: read_entry(e) for e in header["entries"]}
-    cfg = RunConfig(**header["config"]).validate()
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+
+    def field(key):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no '{key}'")
+        return header[key]
+
+    table = {e["name"]: read_entry(e) for e in field("entries")}
+    try:
+        cfg = RunConfig(**field("config")).validate()
+    except (TypeError, ConfigError) as e:
+        raise CheckpointError(f"{path}: bad config ({e})") from e
+
+    def tensor(key: str) -> np.ndarray:
+        if key not in table:
+            raise CheckpointError(f"{path}: missing tensor {key}")
+        return table[key]
 
     decoder = init_decoder_params(cfg, np.random.default_rng(0))
-    _fill("decoder", decoder.tensors(), table, path)
-    store = LatentStore([table[f"latent/{i}"] for i in range(header["n_latents"])])
+    _fill("decoder", decoder.tensors(), tensor, path)
+    store = LatentStore([tensor(f"latent/{i}") for i in range(field("n_latents"))])
     flow = None
-    if header["has_flow"]:
+    if field("has_flow"):
         flow = init_flow_params(cfg, np.random.default_rng(0))
-        _fill("flow", flow.tensors(), table, path)
-        flow.initialized = header["flow_initialized"]
-    decoder_adam = _load_adam(table, "decoder", header["decoder_adam_step"])
-    flow_adam = _load_adam(table, "flow", header["flow_adam_step"])
+        _fill("flow", flow.tensors(), tensor, path)
+        flow.initialized = field("flow_initialized")
+    decoder_adam = _load_adam(table, "decoder", field("decoder_adam_step"))
+    flow_adam = _load_adam(table, "flow", field("flow_adam_step"))
     return Checkpoint(
         config=cfg,
         decoder=decoder,
@@ -150,18 +166,16 @@ def load_checkpoint(path) -> Checkpoint:
         flow=flow,
         decoder_adam=decoder_adam,
         flow_adam=flow_adam,
-        decoder_epochs_done=header["decoder_epochs_done"],
-        flow_epochs_done=header["flow_epochs_done"],
-        train_sizes=list(header["train_sizes"]),
+        decoder_epochs_done=field("decoder_epochs_done"),
+        flow_epochs_done=field("flow_epochs_done"),
+        train_sizes=list(field("train_sizes")),
     )
 
 
-def _fill(prefix: str, named, table: dict[str, np.ndarray], path) -> None:
+def _fill(prefix: str, named, tensor, path) -> None:
     for name, t in named:
         key = f"{prefix}/{name}"
-        if key not in table:
-            raise CheckpointError(f"{path}: missing tensor {key}")
-        arr = table[key]
+        arr = tensor(key)
         if arr.shape != t.data.shape:
             raise CheckpointError(
                 f"{path}: tensor {key} has shape {arr.shape}, expected {t.data.shape} "

@@ -91,15 +91,14 @@ def _build_config(args) -> RunConfig:
 
 
 class _EpochLog:
-    def __init__(self, path: str, phase: str, quiet_every: int = 10):
+    def __init__(self, path: str, phase: str):
         self.path = path
         self.phase = phase
-        self.quiet_every = quiet_every
 
     def __call__(self, epoch: int, lr: float, nll: float) -> None:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(f"{self.phase},{epoch},{lr:.10g},{nll:.10g}\n")
-        if epoch % self.quiet_every == 0:
+        if epoch % 10 == 0:
             print(f"[{self.phase}] epoch {epoch}: lr {lr:.3g}, nll {nll:.5g}", flush=True)
 
 

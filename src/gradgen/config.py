@@ -92,8 +92,13 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
+    """``parse_config`` on a file; its errors start with the file's path."""
     with open(path, encoding="utf-8") as f:
-        return parse_config(f.read(), base=base)
+        text = f.read()
+    try:
+        return parse_config(text, base=base)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def format_config(cfg: RunConfig) -> str:

@@ -132,9 +132,6 @@ class BlockParams:
         e = np.exp(x - x.max())
         return e / e.sum()
 
-    def lam(self) -> np.ndarray:
-        return eng.stable_sigmoid(self.lam_logits.data)
-
 
 def build_scaffold(lo_i: np.ndarray, lo_j: np.ndarray, n_prev: int, k: int) -> NeighborMask:
     """Generated edges (lo_i, lo_j) among the first n_prev nodes plus putative

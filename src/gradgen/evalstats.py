@@ -1,4 +1,4 @@
-"""Graph statistics, squared-MMD scoring, rank aggregation, lobster validity.
+"""Graph statistics, squared-MMD scoring, lobster validity.
 
 Statistic descriptors follow the protocol used by the sequential-generation
 benchmark lineage: degree / clustering / Laplacian-spectrum histograms with a
@@ -8,7 +8,7 @@ vector (connected graphlets on up to 4 nodes) with a Euclidean-distance kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .graphdata.core import Graph
 
 __all__ = [
     "StatHistogram",
-    "MmdReport",
     "STATISTICS",
     "degree_stat",
     "clustering_stat",
@@ -26,8 +25,6 @@ __all__ = [
     "mmd2",
     "mmd_suite",
     "lobster_validity",
-    "rank_table",
-    "format_rank_table",
 ]
 
 STATISTICS = ("degree", "clustering", "orbit", "spectra")
@@ -313,87 +310,3 @@ def lobster_validity(g: Graph) -> bool:
         seen.add(cur)
     return len(seen) == len(alive)
 
-
-# -- rank aggregation ---------------------------------------------------------
-
-
-@dataclass
-class MmdReport:
-    """Per-statistic score tables plus mean and average-rank summary rows."""
-
-    statistics: list[str]
-    algorithms: list[str]
-    datasets: list[str]
-    scores: dict = field(default_factory=dict)  # [stat][algo][dataset] -> float | None
-    mean: dict = field(default_factory=dict)  # [stat][algo] -> float
-    avg_rank: dict = field(default_factory=dict)  # [stat][algo] -> float
-
-
-def rank_table(scores: dict) -> MmdReport:
-    """Aggregate a ``scores[stat][algo][dataset]`` table (missing entries: None).
-
-    Lower scores rank better; missing entries rank last; ties share the mean
-    of the tied rank positions. The mean row averages available datasets only.
-    """
-    statistics = list(scores)
-    algorithms = sorted({a for st in scores.values() for a in st})
-    datasets = sorted({d for st in scores.values() for al in st.values() for d in al})
-    report = MmdReport(statistics=statistics, algorithms=algorithms, datasets=datasets)
-    for stat, table in scores.items():
-        report.scores[stat] = {a: {d: table.get(a, {}).get(d) for d in datasets} for a in algorithms}
-        report.mean[stat] = {}
-        for a in algorithms:
-            vals = [v for v in report.scores[stat][a].values() if v is not None]
-            report.mean[stat][a] = float(np.mean(vals)) if vals else float("nan")
-        ranks = {a: [] for a in algorithms}
-        for d in datasets:
-            entries = [(report.scores[stat][a][d], a) for a in algorithms]
-            for a, r in _rank_one_dataset(entries).items():
-                ranks[a].append(r)
-        report.avg_rank[stat] = {a: float(np.mean(ranks[a])) for a in algorithms}
-    return report
-
-
-def _rank_one_dataset(entries) -> dict[str, float]:
-    """Competition ranks with tie averaging; None scores share the last ranks."""
-    present = sorted([(v, a) for v, a in entries if v is not None])
-    missing = [a for v, a in entries if v is None]
-    out: dict[str, float] = {}
-    pos = 1
-    i = 0
-    while i < len(present):
-        j = i
-        while j < len(present) and present[j][0] == present[i][0]:
-            j += 1
-        shared = (pos + (pos + j - i - 1)) / 2.0
-        for k in range(i, j):
-            out[present[k][1]] = shared
-        pos += j - i
-        i = j
-    if missing:
-        shared = (pos + (pos + len(missing) - 1)) / 2.0
-        for a in missing:
-            out[a] = shared
-    return out
-
-
-def format_rank_table(report: MmdReport) -> str:
-    """Human-readable table: one block per statistic, mean and rank columns."""
-    lines = []
-    for stat in report.statistics:
-        lines.append(f"== {stat} ==")
-        header = ["algorithm"] + report.datasets + ["mean", "rank"]
-        rows = [header]
-        for a in report.algorithms:
-            row = [a]
-            for d in report.datasets:
-                v = report.scores[stat][a][d]
-                row.append("--" if v is None else f"{v:.4g}")
-            row.append(f"{report.mean[stat][a]:.4g}")
-            row.append(f"{report.avg_rank[stat][a]:.2f}")
-            rows.append(row)
-        widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-        for r in rows:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)))
-        lines.append("")
-    return "\n".join(lines)

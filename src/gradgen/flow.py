@@ -31,6 +31,7 @@ __all__ = [
     "train_flow",
     "sample_codes",
     "init_flow_params",
+    "init_actnorms",
     "mask_from_ordered",
 ]
 
@@ -146,10 +147,9 @@ def _check_invertible(w: np.ndarray) -> np.ndarray:
     return np.linalg.inv(w)
 
 
-def _actnorm_inv(y: np.ndarray, log_s: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+def _actnorm_inv(y: np.ndarray, log_s: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     h = y @ _check_invertible(w)
-    ld = y.shape[0] * (log_s.sum() + np.linalg.slogdet(w)[1])
-    return (h - b) * np.exp(-log_s), ld
+    return (h - b) * np.exp(-log_s)
 
 
 def flow_forward(z: Tensor | np.ndarray, mask: NeighborMask, params: FlowParams) -> FlowResult:
@@ -170,22 +170,18 @@ def flow_forward(z: Tensor | np.ndarray, mask: NeighborMask, params: FlowParams)
     return FlowResult(y=eng.concat([cond, upd], axis=1), logdet=logdet)
 
 
-def flow_inverse(y: np.ndarray, mask: NeighborMask, params: FlowParams, return_logdet: bool = False):
+def flow_inverse(y: np.ndarray, mask: NeighborMask, params: FlowParams) -> np.ndarray:
     """Exact algebraic inversion of the forward chain (no gradients)."""
     y = np.asarray(y, dtype=np.float64)
     d2 = params.half_dim
     cond, upd = y[:, :d2], y[:, d2:]
-    logdet = 0.0
     with eng.no_grad():
         for g_s, g_t, log_s, b, w in reversed(list(_halves(params))):
             cond, upd = upd, cond  # undo the forward pass's swap
-            upd, ld = _actnorm_inv(upd, log_s.data, b.data, w.data)
-            logdet -= ld
+            upd = _actnorm_inv(upd, log_s.data, b.data, w.data)
             s, t = _coupling(Tensor(cond), mask, g_s, g_t)
             upd = (upd - t.data) * np.exp(-s.data)
-            logdet -= s.data.sum()
-    z = np.concatenate([cond, upd], axis=1)
-    return (z, logdet) if return_logdet else z
+    return np.concatenate([cond, upd], axis=1)
 
 
 LOG_2PI = float(np.log(2.0 * np.pi))

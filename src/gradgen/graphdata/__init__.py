@@ -1,37 +1,7 @@
-from .core import (
-    DatasetSplit,
-    Graph,
-    OrderedLower,
-    SizeDistribution,
-    lower_edges,
-    reconstruct,
-    size_dist,
-    split,
-    to_lower,
-)
-from .generators import gen_community, gen_cycles, gen_grid, gen_lobster, make_community, make_lobster
-from .io import ParseError, load_graphs, save_graphs
-from .ordering import ORDERINGS, order_nodes
+from . import core, generators, io, ordering
+from .core import *  # noqa: F403
+from .generators import *  # noqa: F403
+from .io import *  # noqa: F403
+from .ordering import *  # noqa: F403
 
-__all__ = [
-    "DatasetSplit",
-    "Graph",
-    "OrderedLower",
-    "ParseError",
-    "SizeDistribution",
-    "ORDERINGS",
-    "gen_community",
-    "gen_cycles",
-    "gen_grid",
-    "gen_lobster",
-    "make_community",
-    "make_lobster",
-    "load_graphs",
-    "lower_edges",
-    "order_nodes",
-    "reconstruct",
-    "save_graphs",
-    "size_dist",
-    "split",
-    "to_lower",
-]
+__all__ = core.__all__ + generators.__all__ + io.__all__ + ordering.__all__

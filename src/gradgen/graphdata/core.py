@@ -14,7 +14,6 @@ __all__ = [
     "to_lower",
     "lower_edges",
     "reconstruct",
-    "size_dist",
     "split",
 ]
 
@@ -145,19 +144,10 @@ class SizeDistribution:
         return int(rng.choice(self.counts, p=self.weights))
 
 
-def size_dist(train: list[Graph]) -> SizeDistribution:
-    return SizeDistribution.from_sizes([g.n for g in train])
-
-
 @dataclass
 class DatasetSplit:
     train: list[Graph]
     test: list[Graph]
-    seed: int = 0
-
-    def __iter__(self):
-        yield self.train
-        yield self.test
 
 
 def split(dataset: list[Graph], seed: int) -> DatasetSplit:
@@ -167,4 +157,4 @@ def split(dataset: list[Graph], seed: int) -> DatasetSplit:
     cut = int(0.8 * len(dataset))
     train = [dataset[i] for i in order[:cut]]
     test = [dataset[i] for i in order[cut:]]
-    return DatasetSplit(train=train, test=test, seed=int(seed))
+    return DatasetSplit(train=train, test=test)

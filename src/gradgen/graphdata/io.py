@@ -56,7 +56,7 @@ def load_graphs(path) -> list[Graph]:
     seen: set[tuple[int, int]] = set()
     start_line = 0
 
-    def flush(lineno: int):
+    def flush():
         nonlocal n, edges, seen
         if n is None:
             return
@@ -74,11 +74,11 @@ def load_graphs(path) -> list[Graph]:
             if line.startswith("#"):
                 continue
             if not line:
-                flush(lineno)
+                flush()
                 continue
             parts = line.split()
             if parts[0] == "graph":
-                flush(lineno)
+                flush()
                 if len(parts) != 3:
                     raise ParseError(path, lineno, "header must be 'graph <id> <num_nodes>'")
                 try:
@@ -105,5 +105,5 @@ def load_graphs(path) -> list[Graph]:
                 raise ParseError(path, lineno, f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             edges.append((u, v))
-    flush(-1)
+    flush()
     return graphs

@@ -13,7 +13,7 @@ __all__ = ["order_nodes", "ORDERINGS"]
 ORDERINGS = ("bfs", "dfs", "default", "degree", "kcore")
 
 
-def order_nodes(g: Graph, scheme: str, seed: int = 0) -> list[int]:
+def order_nodes(g: Graph, scheme: str) -> list[int]:
     """Node permutation under the given scheme; position k holds the k-th node.
 
     bfs/dfs start at node 0 with ascending-index tie-breaking and restart at

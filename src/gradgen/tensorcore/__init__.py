@@ -1,62 +1,5 @@
-from .engine import (
-    NonFiniteError,
-    Tensor,
-    add,
-    checkpoint,
-    concat,
-    dense_attention,
-    edge_attention,
-    exp,
-    finite_checks,
-    gather_rows,
-    grad,
-    layer_norm,
-    mlp,
-    logabsdet,
-    logsigmoid,
-    logsumexp,
-    matmul,
-    mul,
-    narrow,
-    neg,
-    no_grad,
-    run_diagnosed,
-    stable_sigmoid,
-    sub,
-    tanh,
-    tsum,
-)
-from .optim import AdamState, adam_step, lr_schedule, sgd_project_step
+from . import engine, optim
+from .engine import *  # noqa: F403
+from .optim import *  # noqa: F403
 
-__all__ = [
-    "NonFiniteError",
-    "Tensor",
-    "AdamState",
-    "adam_step",
-    "lr_schedule",
-    "sgd_project_step",
-    "add",
-    "checkpoint",
-    "concat",
-    "dense_attention",
-    "edge_attention",
-    "exp",
-    "finite_checks",
-    "gather_rows",
-    "grad",
-    "layer_norm",
-    "mlp",
-    "logabsdet",
-    "logsigmoid",
-    "logsumexp",
-    "matmul",
-    "mul",
-    "narrow",
-    "neg",
-    "no_grad",
-    "run_diagnosed",
-    "stable_sigmoid",
-    "sub",
-    "tanh",
-    "tsum",
-]
+__all__ = engine.__all__ + optim.__all__

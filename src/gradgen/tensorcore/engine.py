@@ -68,7 +68,7 @@ def no_grad():
 
 
 @contextlib.contextmanager
-def finite_checks(enabled: bool = True):
+def finite_checks():
     """Validate every primitive output for NaN/Inf inside the block.
 
     Off by default: the per-op scan roughly doubles the cost of small-array
@@ -77,7 +77,7 @@ def finite_checks(enabled: bool = True):
     """
     global _FINITE_CHECKS
     prev = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
+    _FINITE_CHECKS = True
     try:
         yield
     finally:
@@ -122,9 +122,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._opname})"
@@ -527,13 +524,14 @@ def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray)
     return np.einsum("hed,hed->he", np.take(a, rows, axis=1), np.take(b, cols, axis=1))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis to zero mean / unit variance (1e-5 is
+    added to the variance), then affine."""
     d = x.data.shape[-1]  # means as sum / d: ndarray.mean's own formula
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = xc * inv
     data = y * gain.data + bias.data
 

@@ -10,14 +10,16 @@ from .engine import Tensor
 
 __all__ = ["AdamState", "adam_step", "sgd_project_step", "lr_schedule"]
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """First/second moment accumulators keyed like the parameter dict."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -32,8 +34,8 @@ def adam_step(
     """One Adam update (bias-corrected) applied in place, in sorted key order."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for name in sorted(params):
         p = params[name]
         g = grads[name]
@@ -45,11 +47,11 @@ def adam_step(
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 def sgd_project_step(codes: np.ndarray, grads: np.ndarray, delta: float) -> np.ndarray:

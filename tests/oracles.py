@@ -221,16 +221,15 @@ def dense_ga_forward(z, matrix, params):
     """One GA layer with dense (H, m, m) masked attention over the boolean
     neighborhood ``matrix`` and unfused perceptrons: the reference for the
     edge-list kernel, ``engine.dense_attention`` and ``engine.mlp``."""
-    from gradgen.attention import LN_EPS
     from gradgen.tensorcore import engine as eng
 
     q = mlp_chain(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
     k = mlp_chain(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
     v = mlp_chain(z, [(params.wv1, params.bv1), (params.wv2, params.bv2)])
     delta = linear(dense_attention_chain(q, k, v, matrix, params.d_s**-0.5), params.wp)
-    normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b, eps=LN_EPS)
+    normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b)
     ff = mlp_chain(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
-    return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b, eps=LN_EPS)
+    return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b)
 
 
 def dense_scaffold(rows, n_prev, k):

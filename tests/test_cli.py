@@ -109,6 +109,16 @@ def test_config_rejects_bad_values():
         parse_config("d : 3\n")
 
 
+def test_config_file_errors_name_the_file(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("dd = 3\n")
+    with pytest.raises(ConfigError, match=r"^line 1: unknown config key 'dd'$"):
+        parse_config(bad.read_text())
+    monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    assert cli.main(["train", str(tmp_path / "none.g"), "--config", str(bad), "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 1: unknown config key 'dd'\n"
+
+
 def test_config_comments_and_blank_lines(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# comment\n\nd = 16  # trailing\n")
@@ -190,7 +200,14 @@ def test_checkpoint_truncated_preamble_is_named(tmp_path):
     assert "truncated preamble" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path):
+def with_header(data: bytes, edit) -> bytes:
+    """A checkpoint's bytes with its JSON header replaced by ``edit(header)``."""
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    raw = json.dumps(edit(json.loads(data[16 : 16 + hlen]))).encode()
+    return data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + hlen :]
+
+
+def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, capsys, monkeypatch):
     good = tmp_path / "m.ckpt"
     ckpt_io.save_checkpoint(good, small_checkpoint())
     data = good.read_bytes()
@@ -203,6 +220,21 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path):
     bad.write_bytes(data[:16] + data[16 : 16 + hlen // 2] + b" " * (hlen - hlen // 2) + data[16 + hlen :])
     with pytest.raises(ckpt_io.CheckpointError, match=r"bad\.ckpt: truncated or corrupt header"):
         ckpt_io.load_checkpoint(bad)
+    # well-formed JSON that is not a checkpoint header, through the library and the CLI
+    monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    for edit, message in [
+        (lambda h: {k: v for k, v in h.items() if k != "entries"}, "header has no 'entries'"),
+        (lambda h: [h], "header is a JSON list, not an object"),
+        (lambda h: {**h, "config": {**h["config"], "dd": 1}}, r"bad config \(.*unexpected keyword argument 'dd'\)"),
+        (lambda h: {**h, "entries": [e for e in h["entries"] if e["name"] != "latent/1"]},
+         "missing tensor latent/1"),
+    ]:
+        bad.write_bytes(with_header(data, edit))
+        with pytest.raises(ckpt_io.CheckpointError, match=rf"bad\.ckpt: {message}"):
+            ckpt_io.load_checkpoint(bad)
+        assert cli.main(["sample", str(bad), "2", "--out", str(tmp_path / "x.g")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
 
 def test_checkpoint_truncated_payload_is_named(tmp_path):
@@ -361,6 +393,21 @@ def test_peek_checkpoint_prints_the_four_statistics(tmp_path, tiny_data, tiny_cf
     scores = {r[0]: float(r[1]) for r in rows if r and r[0] in STATISTICS}
     assert set(scores) == set(STATISTICS)
     assert all(np.isfinite(v) and v >= 0.0 for v in scores.values())
+
+
+@pytest.mark.parametrize("only", [["lobstr"], [], ["lobster", "bogus"]])
+def test_acceptance_driver_rejects_bad_stage_names(only, tmp_path):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_acceptance.py")
+    results = tmp_path / "results"
+    proc = subprocess.run(
+        [sys.executable, script, "--results", str(results), "--only", *only],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "--only" in proc.stderr and "acceptance driver finished" not in proc.stdout
+    assert not results.exists()
 
 
 def test_train_grad_d_skips_flow(tmp_path, tiny_data, tiny_cfg_file):

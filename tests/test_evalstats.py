@@ -4,16 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradgen.evalstats import (
-    MmdReport,
     clustering_stat,
     degree_stat,
-    format_rank_table,
     lobster_validity,
     mmd2,
     mmd_suite,
     orbit_counts,
     orbit_stat,
-    rank_table,
     spectra_stat,
 )
 from gradgen.graphdata import Graph, gen_lobster
@@ -287,61 +284,3 @@ def test_validity_two_long_disjoint_paths_fail():
     g = Graph(20, edges)
     assert not lobster_validity(g)
 
-
-# -- rank table --------------------------------------------------------------
-
-
-def test_rank_half_second_half_third():
-    scores = {
-        "degree": {
-            "ours": {"d1": 0.2, "d2": 0.3, "d3": 0.2, "d4": 0.3},
-            "a": {"d1": 0.1, "d2": 0.1, "d3": 0.1, "d4": 0.1},
-            "b": {"d1": 0.3, "d2": 0.2, "d3": 0.3, "d4": 0.2},
-            "c": {"d1": 0.4, "d2": 0.4, "d3": 0.4, "d4": 0.4},
-        }
-    }
-    report = rank_table(scores)
-    assert report.avg_rank["degree"]["ours"] == pytest.approx(2.5)
-    assert report.avg_rank["degree"]["a"] == pytest.approx(1.0)
-
-
-def test_rank_single_algorithm():
-    report = rank_table({"degree": {"only": {"d1": 0.5, "d2": 0.1}}})
-    assert report.avg_rank["degree"]["only"] == pytest.approx(1.0)
-
-
-def test_rank_missing_entries_rank_last():
-    scores = {
-        "orbit": {
-            "a": {"d1": 0.5, "d2": 0.5},
-            "b": {"d1": 0.1, "d2": None},
-            "c": {"d1": None, "d2": None},
-        }
-    }
-    report = rank_table(scores)
-    # d1: b=1, a=2, c=3;  d2: a=1, b and c share (2+3)/2
-    assert report.avg_rank["orbit"]["a"] == pytest.approx(1.5)
-    assert report.avg_rank["orbit"]["b"] == pytest.approx(1.75)
-    assert report.avg_rank["orbit"]["c"] == pytest.approx(2.75)
-    assert np.isnan(report.mean["orbit"]["c"])
-
-
-def test_rank_against_exhaustive_comparison():
-    rng = np.random.default_rng(0)
-    algos = ["m1", "m2", "m3"]
-    datasets = ["da", "db"]
-    table = {a: {d: float(rng.random()) for d in datasets} for a in algos}
-    report = rank_table({"degree": table})
-    for a in algos:
-        expected = []
-        for d in datasets:
-            worse = sum(1 for b in algos if table[b][d] < table[a][d])
-            expected.append(worse + 1)
-        assert report.avg_rank["degree"][a] == pytest.approx(np.mean(expected))
-
-
-def test_format_rank_table_mentions_all():
-    report = rank_table({"degree": {"a": {"d1": 0.25}, "b": {"d1": None}}})
-    text = format_rank_table(report)
-    assert "degree" in text and "a" in text and "--" in text
-    assert isinstance(report, MmdReport)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gradgen.graphdata import (
     Graph,
     ParseError,
+    SizeDistribution,
     gen_community,
     gen_cycles,
     gen_grid,
@@ -15,7 +16,6 @@ from gradgen.graphdata import (
     order_nodes,
     reconstruct,
     save_graphs,
-    size_dist,
     split,
     to_lower,
 )
@@ -255,7 +255,7 @@ def test_roundtrip_property(n, p, seed, scheme):
 
 def test_size_dist_frequencies():
     train = [Graph(5, []), Graph(5, []), Graph(7, [])]
-    dist = size_dist(train)
+    dist = SizeDistribution.from_sizes([g.n for g in train])
     rng = np.random.default_rng(0)
     draws = np.array([dist.sample(rng) for _ in range(10_000)])
     assert set(np.unique(draws)).issubset({5, 7})
@@ -265,7 +265,7 @@ def test_size_dist_frequencies():
 
 
 def test_size_dist_single_graph():
-    dist = size_dist([Graph(9, [])])
+    dist = SizeDistribution.from_sizes([9])
     rng = np.random.default_rng(1)
     assert all(dist.sample(rng) == 9 for _ in range(50))
 
@@ -274,7 +274,7 @@ def test_size_dist_chi_square():
     from scipy.stats import chisquare
 
     train = [Graph(n, []) for n in [4] * 10 + [6] * 30 + [9] * 60]
-    dist = size_dist(train)
+    dist = SizeDistribution.from_sizes([g.n for g in train])
     rng = np.random.default_rng(7)
     draws = np.array([dist.sample(rng) for _ in range(10_000)])
     observed = [(draws == n).sum() for n in (4, 6, 9)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradgen.tensorcore import optim
 from gradgen.tensorcore import AdamState, Tensor, adam_step, lr_schedule, sgd_project_step
 
 
@@ -18,7 +19,7 @@ def test_adam_first_step_magnitude():
         p = {"w": Tensor(np.array([0.5]))}
         st = AdamState()
         adam_step(p, {"w": np.array([g])}, st, lr=0.01)
-        expected = 0.01 * abs(g) / (abs(g) + st.eps)
+        expected = 0.01 * abs(g) / (abs(g) + optim.EPS)
         assert abs(p["w"].data[0] - 0.5) == pytest.approx(expected, rel=1e-12)
 
 
