@@ -115,8 +115,9 @@ class GaParams:
             yield f, getattr(self, f)
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Glorot-uniform weights; the last two axes are fan-in and fan-out."""
+    bound = np.sqrt(6.0 / (shape[-2] + shape[-1]))
     return rng.uniform(-bound, bound, size=shape)
 
 
@@ -133,14 +134,14 @@ def init_ga_params(
     hf = 4 * d_in
     t = {}
     for role in ("q", "k", "v"):
-        t[f"w{role}1"] = Tensor(_glorot(rng, (heads, d_in, hq), d_in, hq), requires_grad=True)
+        t[f"w{role}1"] = Tensor(glorot(rng, heads, d_in, hq), requires_grad=True)
         t[f"b{role}1"] = Tensor(np.zeros((heads, 1, hq)), requires_grad=True)
-        t[f"w{role}2"] = Tensor(_glorot(rng, (heads, hq, d_s), hq, d_s), requires_grad=True)
+        t[f"w{role}2"] = Tensor(glorot(rng, heads, hq, d_s), requires_grad=True)
         t[f"b{role}2"] = Tensor(np.zeros((heads, 1, d_s)), requires_grad=True)
-    t["wp"] = Tensor(_glorot(rng, (heads * d_s, d_in), heads * d_s, d_in), requires_grad=True)
-    t["ww1"] = Tensor(_glorot(rng, (d_in, hf), d_in, hf), requires_grad=True)
+    t["wp"] = Tensor(glorot(rng, heads * d_s, d_in), requires_grad=True)
+    t["ww1"] = Tensor(glorot(rng, d_in, hf), requires_grad=True)
     t["bw1"] = Tensor(np.zeros(hf), requires_grad=True)
-    t["ww2"] = Tensor(_glorot(rng, (hf, d_in), hf, d_in), requires_grad=True)
+    t["ww2"] = Tensor(glorot(rng, hf, d_in), requires_grad=True)
     t["bw2"] = Tensor(np.zeros(d_in), requires_grad=True)
     t["ln1_g"] = Tensor(np.ones(d_in), requires_grad=True)
     t["ln1_b"] = Tensor(np.zeros(d_in), requires_grad=True)

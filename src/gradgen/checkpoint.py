@@ -118,17 +118,27 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: truncated or corrupt header ({e})") from e
         payload = f.read()
 
-    def read_entry(entry) -> np.ndarray:
-        shape = tuple(entry["shape"])
+    def read_entry(i: int, entry) -> tuple[str, np.ndarray]:
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: entry {i} is a JSON {type(entry).__name__}, not an object")
+        for key in ("name", "shape", "offset"):
+            if key not in entry:
+                raise CheckpointError(f"{path}: entry {i} has no '{key}'")
+        name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        counts = isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)
+        if not (isinstance(name, str) and counts):
+            raise CheckpointError(
+                f"{path}: entry {i} needs a string name and non-negative integer shape and offset, got {entry!r}"
+            )
+        shape = tuple(shape)
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         if start + 8 * count > len(payload):
             raise CheckpointError(
-                f"{path}: truncated payload: tensor {entry['name']} ends at byte {start + 8 * count}, "
+                f"{path}: truncated payload: tensor {name} ends at byte {start + 8 * count}, "
                 f"payload has {len(payload)}"
             )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        return arr.reshape(shape).astype(np.float64)
+        return name, arr.reshape(shape).astype(np.float64)
 
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
@@ -138,7 +148,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: header has no '{key}'")
         return header[key]
 
-    table = {e["name"]: read_entry(e) for e in field("entries")}
+    entries = field("entries")
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{path}: 'entries' is a JSON {type(entries).__name__}, not a list")
+    table = dict(read_entry(i, e) for i, e in enumerate(entries))
     try:
         cfg = RunConfig(**field("config")).validate()
     except (TypeError, ConfigError) as e:
@@ -170,6 +183,11 @@ def load_checkpoint(path) -> Checkpoint:
         flow_epochs_done=field("flow_epochs_done"),
         train_sizes=list(field("train_sizes")),
     )
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (bools excluded)."""
+    return type(value) is int and value >= 0
 
 
 def _fill(prefix: str, named, tensor, path) -> None:

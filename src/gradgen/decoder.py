@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import GaParams, NeighborMask, ga_forward, init_ga_params
+from .attention import GaParams, NeighborMask, ga_forward, glorot, init_ga_params
 from .config import RunConfig
 from .graphdata.core import Graph, OrderedLower, lower_edges
 from .tensorcore import engine as eng
@@ -83,16 +83,12 @@ class DecoderParams:
 
 
 def _init_mlp3(rng: np.random.Generator, d_in: int, hidden: int, d_out: int) -> Mlp3:
-    def glorot(fan_in, fan_out):
-        b = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-b, b, size=(fan_in, fan_out))
-
     return Mlp3(
-        w1=Tensor(glorot(d_in, hidden), requires_grad=True),
+        w1=Tensor(glorot(rng, d_in, hidden), requires_grad=True),
         b1=Tensor(np.zeros(hidden), requires_grad=True),
-        w2=Tensor(glorot(hidden, hidden), requires_grad=True),
+        w2=Tensor(glorot(rng, hidden, hidden), requires_grad=True),
         b2=Tensor(np.zeros(hidden), requires_grad=True),
-        w3=Tensor(glorot(hidden, d_out), requires_grad=True),
+        w3=Tensor(glorot(rng, hidden, d_out), requires_grad=True),
         b3=Tensor(np.zeros(d_out), requires_grad=True),
     )
 
@@ -302,7 +298,6 @@ def train_autodecoder(
     store: LatentStore | None = None,
     adam: AdamState | None = None,
     start_epoch: int = 0,
-    epochs: int | None = None,
     stop_epoch: int | None = None,
     log=None,
 ):
@@ -317,7 +312,7 @@ def train_autodecoder(
     """
     if not train_ordered:
         raise ValueError("empty training set")
-    total_epochs = epochs if epochs is not None else cfg.decoder_epochs * (3 if cfg.mode == "grad_r" else 1)
+    total_epochs = cfg.decoder_epochs * (3 if cfg.mode == "grad_r" else 1)
     stop = total_epochs if stop_epoch is None else min(stop_epoch, total_epochs)
     if params is None:
         params = init_decoder_params(cfg, np.random.default_rng([cfg.seed, 0xDEC0]))

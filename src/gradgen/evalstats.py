@@ -252,27 +252,25 @@ def mmd2(set_a: list[StatHistogram], set_b: list[StatHistogram], sigma: float = 
 
 
 def mmd_suite(samples: list[Graph], reference: list[Graph], sigma: float = 1.0, workers: int = 1) -> dict[str, float]:
-    """All four statistics between a sample set and a reference set."""
-    scores = {}
-    for kind in STATISTICS:
-        sa = _stats_for(samples, kind, workers)
-        sb = _stats_for(reference, kind, workers)
-        scores[kind] = mmd2(sa, sb, sigma=sigma)
-    return scores
-
-
-def _stats_for(graphs: list[Graph], kind: str, workers: int) -> list[StatHistogram]:
+    """All four statistics between a sample set and a reference set. With
+    ``workers > 1`` one process pool computes every graph's statistics."""
+    graphs = list(samples) + list(reference)
     if workers > 1 and len(graphs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_stat_task, [(g, kind) for g in graphs]))
-    return [graph_stat(g, kind) for g in graphs]
+            stats = list(pool.map(_graph_stats, graphs))
+    else:
+        stats = [_graph_stats(g) for g in graphs]
+    n = len(samples)
+    return {
+        kind: mmd2([s[i] for s in stats[:n]], [s[i] for s in stats[n:]], sigma=sigma)
+        for i, kind in enumerate(STATISTICS)
+    }
 
 
-def _stat_task(arg):
-    g, kind = arg
-    return graph_stat(g, kind)
+def _graph_stats(g: Graph) -> list[StatHistogram]:
+    return [graph_stat(g, kind) for kind in STATISTICS]
 
 
 # -- lobster validity --------------------------------------------------------

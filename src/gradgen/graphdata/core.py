@@ -13,7 +13,6 @@ __all__ = [
     "DatasetSplit",
     "to_lower",
     "lower_edges",
-    "reconstruct",
     "split",
 ]
 
@@ -114,16 +113,6 @@ def lower_edges(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     lo_j = np.concatenate(rows).astype(np.intp, copy=False)
     return np.repeat(np.arange(len(rows), dtype=np.intp), counts), lo_j
-
-
-def reconstruct(ol: OrderedLower) -> Graph:
-    edges = []
-    for i, row in enumerate(ol.rows):
-        for j in row:
-            if j >= i:
-                raise ValueError(f"row {i} references non-earlier node {j}")
-            edges.append((int(j), i))
-    return Graph(ol.n, edges)
 
 
 @dataclass

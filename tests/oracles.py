@@ -263,7 +263,7 @@ def sample_graph_rows(n, codes, params, rng, k=1):
     extracts every edge from them again at each step: the reference for the
     decoder's incremental edge arrays."""
     from gradgen.decoder import block_params, sample_block
-    from gradgen.graphdata import OrderedLower, lower_edges, reconstruct
+    from gradgen.graphdata import OrderedLower, lower_edges
     from gradgen.tensorcore import no_grad
 
     rows = []
@@ -280,3 +280,17 @@ def sample_graph_rows(n, codes, params, rng, k=1):
                 offset += i
             carried = bp.features
     return reconstruct(OrderedLower(perm=list(range(n)), rows=rows))
+
+
+def reconstruct(ol):
+    """The graph that an OrderedLower's rows encode, one edge at a time: the
+    reference for ``to_lower``'s round trip."""
+    from gradgen.graphdata import Graph
+
+    edges = []
+    for i, row in enumerate(ol.rows):
+        for j in row:
+            if j >= i:
+                raise ValueError(f"row {i} references non-earlier node {j}")
+            edges.append((int(j), i))
+    return Graph(ol.n, edges)

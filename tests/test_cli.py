@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -207,6 +208,11 @@ def with_header(data: bytes, edit) -> bytes:
     return data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + hlen :]
 
 
+def edit_first_entry(edit):
+    """A header edit that replaces the first entry-table row by ``edit(row)``."""
+    return lambda h: {**h, "entries": [edit(h["entries"][0])] + h["entries"][1:]}
+
+
 def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, capsys, monkeypatch):
     good = tmp_path / "m.ckpt"
     ckpt_io.save_checkpoint(good, small_checkpoint())
@@ -228,6 +234,14 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, capsys, monke
         (lambda h: {**h, "config": {**h["config"], "dd": 1}}, r"bad config \(.*unexpected keyword argument 'dd'\)"),
         (lambda h: {**h, "entries": [e for e in h["entries"] if e["name"] != "latent/1"]},
          "missing tensor latent/1"),
+        *[(edit_first_entry(lambda e, key=key: {k: v for k, v in e.items() if k != key}), f"entry 0 has no '{key}'")
+          for key in ("name", "shape", "offset")],
+        (lambda h: {**h, "entries": 5}, "'entries' is a JSON int, not a list"),
+        (edit_first_entry(lambda e: 5), "entry 0 is a JSON int, not an object"),
+        *[(edit_first_entry(lambda e, key=key, value=value: {**e, key: value}),
+           f"entry 0 needs a string name and non-negative integer shape and offset, "
+           f"got .*'{key}': {re.escape(repr(value))}")
+          for key, value in [("name", [1]), ("shape", [1.5]), ("shape", 3), ("offset", "0"), ("offset", -8)]],
     ]:
         bad.write_bytes(with_header(data, edit))
         with pytest.raises(ckpt_io.CheckpointError, match=rf"bad\.ckpt: {message}"):

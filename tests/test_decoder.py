@@ -464,7 +464,7 @@ def test_training_curve_is_deterministic():
 def test_grad_r_mode_freezes_codes():
     cfg = tiny_config(mode="grad_r", decoder_epochs=2, batch=4, tau=1e-3)
     train = tiny_cycles(5)
-    params, store, curve = train_autodecoder(train, cfg, epochs=2)
+    params, store, curve = train_autodecoder(train, cfg, stop_epoch=2)
     rng = np.random.default_rng([cfg.seed, 0x1A7E])
     expected = [np.clip(rng.standard_normal((ol.n, cfg.d)), -1.0, 1.0) for ol in train]
     for z, e in zip(store.codes, expected):

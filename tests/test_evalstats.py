@@ -245,6 +245,12 @@ def test_mmd_suite_self_is_zero():
         assert v == pytest.approx(0.0, abs=1e-12), kind
 
 
+def test_mmd_suite_worker_pool_matches_serial():
+    samples = gen_lobster(count=3, seed=4)
+    reference = gen_lobster(count=4, seed=5)
+    assert mmd_suite(samples, reference, workers=2) == mmd_suite(samples, reference, workers=1)
+
+
 # -- lobster validity -----------------------------------------------------------
 
 

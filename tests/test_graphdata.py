@@ -14,12 +14,13 @@ from gradgen.graphdata import (
     load_graphs,
     make_community,
     order_nodes,
-    reconstruct,
     save_graphs,
     split,
     to_lower,
 )
 from gradgen.evalstats import lobster_validity
+
+from oracles import reconstruct
 
 
 def random_graph(n, p, seed):
