@@ -4,9 +4,8 @@ then raw little-endian float64 tensor payloads. Round-trips bitwise."""
 from __future__ import annotations
 
 import json
-import os
+import math
 import struct
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -14,6 +13,7 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .decoder import DecoderParams, LatentStore, init_decoder_params
 from .flow import FlowParams, init_flow_params
+from .graphdata.io import atomic_write_bytes
 from .tensorcore.optim import AdamState
 
 __all__ = ["Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint"]
@@ -62,41 +62,25 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     tensors = ckpt.named_tensors()
     entries = []
     offset = 0
-    blobs = []
+    arrays = []
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
+        arrays.append(arr)
         offset += arr.nbytes
     header = {
         "config": asdict(ckpt.config),
-        "seed": ckpt.config.seed,
-        "mode": ckpt.config.mode,
         "decoder_epochs_done": ckpt.decoder_epochs_done,
         "flow_epochs_done": ckpt.flow_epochs_done,
         "decoder_adam_step": ckpt.decoder_adam.step,
         "flow_adam_step": ckpt.flow_adam.step,
         "has_flow": ckpt.flow is not None,
-        "flow_initialized": bool(ckpt.flow.initialized) if ckpt.flow is not None else False,
-        "n_latents": len(ckpt.store.codes),
+        "flow_initialized": ckpt.flow is not None and bool(ckpt.flow.initialized),
         "train_sizes": list(map(int, ckpt.train_sizes)),
         "entries": entries,
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".ckpt")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(PREAMBLE.pack(MAGIC, VERSION, len(raw)))
-            f.write(raw)
-            for blob in blobs:
-                f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, PREAMBLE.pack(MAGIC, VERSION, len(raw)), raw, *arrays)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -117,8 +101,18 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as e:
             raise CheckpointError(f"{path}: truncated or corrupt header ({e})") from e
         payload = f.read()
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
 
-    def read_entry(i: int, entry) -> tuple[str, np.ndarray]:
+    def field(key: str):
+        if key not in header:
+            raise CheckpointError(f"{path}: header has no '{key}'")
+        check, want = HEADER_FIELDS[key]
+        if not check(header[key]):
+            raise CheckpointError(f"{path}: header field '{key}' must be {want}, got {header[key]!r}")
+        return header[key]
+
+    def read_entry(i: int, entry) -> tuple[str, tuple[tuple[int, ...], int]]:
         if not isinstance(entry, dict):
             raise CheckpointError(f"{path}: entry {i} is a JSON {type(entry).__name__}, not an object")
         for key in ("name", "shape", "offset"):
@@ -130,59 +124,56 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(
                 f"{path}: entry {i} needs a string name and non-negative integer shape and offset, got {entry!r}"
             )
-        shape = tuple(shape)
-        count = int(np.prod(shape)) if shape else 1
-        if start + 8 * count > len(payload):
+        end = start + 8 * math.prod(shape)
+        if end > len(payload):
             raise CheckpointError(
-                f"{path}: truncated payload: tensor {name} ends at byte {start + 8 * count}, "
-                f"payload has {len(payload)}"
+                f"{path}: truncated payload: tensor {name} ends at byte {end}, payload has {len(payload)}"
             )
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        return name, arr.reshape(shape).astype(np.float64)
+        return name, (tuple(shape), start)
 
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    table = dict(read_entry(i, e) for i, e in enumerate(field("entries")))
 
-    def field(key):
-        if key not in header:
-            raise CheckpointError(f"{path}: header has no '{key}'")
-        return header[key]
+    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name not in table:
+            raise CheckpointError(f"{path}: missing tensor {name}")
+        stored, start = table[name]
+        if stored != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {stored}, expected {shape} (config/schema mismatch)"
+            )
+        return np.frombuffer(payload, "<f8", math.prod(shape), start).reshape(shape).astype(np.float64)
 
-    entries = field("entries")
-    if not isinstance(entries, list):
-        raise CheckpointError(f"{path}: 'entries' is a JSON {type(entries).__name__}, not a list")
-    table = dict(read_entry(i, e) for i, e in enumerate(entries))
     try:
         cfg = RunConfig(**field("config")).validate()
     except (TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: bad config ({e})") from e
-
-    def tensor(key: str) -> np.ndarray:
-        if key not in table:
-            raise CheckpointError(f"{path}: missing tensor {key}")
-        return table[key]
-
-    decoder = init_decoder_params(cfg, np.random.default_rng(0))
-    _fill("decoder", decoder.tensors(), tensor, path)
-    store = LatentStore([tensor(f"latent/{i}") for i in range(field("n_latents"))])
+    sizes = field("train_sizes")
+    initialized = field("flow_initialized")
     flow = None
     if field("has_flow"):
         flow = init_flow_params(cfg, np.random.default_rng(0))
-        _fill("flow", flow.tensors(), tensor, path)
-        flow.initialized = field("flow_initialized")
-    decoder_adam = _load_adam(table, "decoder", field("decoder_adam_step"))
-    flow_adam = _load_adam(table, "flow", field("flow_adam_step"))
-    return Checkpoint(
+        flow.initialized = initialized
+    ckpt = Checkpoint(
         config=cfg,
-        decoder=decoder,
-        store=store,
+        decoder=init_decoder_params(cfg, np.random.default_rng(0)),
+        store=LatentStore([tensor(f"latent/{i}", (n, cfg.d)) for i, n in enumerate(sizes)]),
         flow=flow,
-        decoder_adam=decoder_adam,
-        flow_adam=flow_adam,
+        decoder_adam=AdamState(step=field("decoder_adam_step")),
+        flow_adam=AdamState(step=field("flow_adam_step")),
         decoder_epochs_done=field("decoder_epochs_done"),
         flow_epochs_done=field("flow_epochs_done"),
-        train_sizes=list(field("train_sizes")),
+        train_sizes=list(sizes),
     )
+    if flow is None and ckpt.flow_adam.step > 0:
+        raise CheckpointError(f"{path}: 'flow_adam_step' is {ckpt.flow_adam.step} but the checkpoint has no flow")
+    # adam_step creates both moments of every parameter on its first step
+    for key, params, adam in (("decoder", ckpt.decoder, ckpt.decoder_adam), ("flow", flow, ckpt.flow_adam)):
+        for name, t in params.tensors() if params is not None else ():
+            t.data = tensor(f"{key}/{name}", t.data.shape)
+            if adam.step > 0:
+                adam.m[name] = tensor(f"adam-m/{key}/{name}", t.data.shape)
+                adam.v[name] = tensor(f"adam-v/{key}/{name}", t.data.shape)
+    return ckpt
 
 
 def _is_count(value) -> bool:
@@ -190,25 +181,21 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _fill(prefix: str, named, tensor, path) -> None:
-    for name, t in named:
-        key = f"{prefix}/{name}"
-        arr = tensor(key)
-        if arr.shape != t.data.shape:
-            raise CheckpointError(
-                f"{path}: tensor {key} has shape {arr.shape}, expected {t.data.shape} "
-                "(config/schema mismatch)"
-            )
-        t.data = arr
+_COUNT = (_is_count, "a non-negative integer")
+_FLAG = (lambda v: type(v) is bool, "true or false")
 
-
-def _load_adam(table: dict[str, np.ndarray], key: str, step: int) -> AdamState:
-    state = AdamState(step=step)
-    pm = f"adam-m/{key}/"
-    pv = f"adam-v/{key}/"
-    for name, arr in table.items():
-        if name.startswith(pm):
-            state.m[name[len(pm):]] = arr.copy()
-        elif name.startswith(pv):
-            state.v[name[len(pv):]] = arr.copy()
-    return state
+# Every header field: a test of its JSON value, and what the test asks for.
+HEADER_FIELDS = {
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "decoder_adam_step": _COUNT,
+    "decoder_epochs_done": _COUNT,
+    "entries": (lambda v: isinstance(v, list), "a list"),
+    "flow_adam_step": _COUNT,
+    "flow_epochs_done": _COUNT,
+    "flow_initialized": _FLAG,
+    "has_flow": _FLAG,
+    "train_sizes": (
+        lambda v: isinstance(v, list) and all(_is_count(n) and n > 0 for n in v),
+        "a list of positive integers",
+    ),
+}

@@ -13,15 +13,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .config import ConfigError, RunConfig, format_config, load_config
-from .decoder import dataset_nll, sample_graph, train_autodecoder
+from .config import MODES, ConfigError, RunConfig, format_config, load_config
+from .decoder import dataset_nll, decoder_epoch_budget, sample_graph, train_autodecoder
 from .evalstats import lobster_validity, mmd_suite
 from .flow import sample_codes, train_flow
 from .graphdata import (
+    ORDERINGS,
     SizeDistribution,
     gen_community,
     gen_cycles,
@@ -43,6 +45,7 @@ GENERATORS = {
 }
 
 CHECKPOINT_EVERY = 25  # epochs between periodic saves
+GC_THRESHOLD = (200_000, 50, 50)  # tensor graphs churn small objects
 
 
 def worker_count() -> int:
@@ -128,7 +131,7 @@ def _trim_log(path: str, decoder_done: int, flow_done: int) -> bool:
 
 
 def cmd_train(args) -> None:
-    gc.set_threshold(200_000, 50, 50)  # tensor graphs churn small objects
+    gc.set_threshold(*GC_THRESHOLD)
     cfg = _build_config(args)
     graphs = load_graphs(args.data)
     if not graphs:
@@ -160,7 +163,7 @@ def cmd_train(args) -> None:
         if os.path.exists(log_path):
             os.unlink(log_path)
 
-    decoder_total = cfg.decoder_epochs * (3 if cfg.mode == "grad_r" else 1)
+    decoder_total = decoder_epoch_budget(cfg)
     log = _EpochLog(log_path, "decoder")
     while ckpt.decoder_epochs_done < decoder_total:
         until = min(ckpt.decoder_epochs_done + CHECKPOINT_EVERY, decoder_total)
@@ -208,17 +211,16 @@ def cmd_train(args) -> None:
 
 
 def cmd_sample(args) -> None:
-    gc.set_threshold(200_000, 50, 50)
+    gc.set_threshold(*GC_THRESHOLD)
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    cfg = ckpt.config
+    cfg = ckpt.config if args.seed is None else replace(ckpt.config, seed=args.seed).validate()
     mode = args.mode or cfg.mode
     if mode == "grad" and ckpt.flow is None:
         raise ckpt_io.CheckpointError(f"{args.checkpoint}: mode 'grad' needs saved flow parameters")
-    seed = args.seed if args.seed is not None else cfg.seed
-    rng = np.random.default_rng([seed, 0x5A3B1E])
+    rng = np.random.default_rng([cfg.seed, 0x5A3B1E])
     graphs, rows = draw_graphs(ckpt, args.n_graphs, mode, rng, args.fixed_n)
     times = [r["flow_s"] + r["decoder_s"] for r in rows]
-    save_graphs(args.out, graphs, comment=f"samples from {args.checkpoint} seed={seed} mode={mode}")
+    save_graphs(args.out, graphs, comment=f"samples from {args.checkpoint} seed={cfg.seed} mode={mode}")
     report = {
         "checkpoint": str(args.checkpoint),
         "mode": mode,
@@ -304,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--config", help="key = value config file")
     t.add_argument("--seed", type=int)
-    t.add_argument("--mode", choices=["grad", "grad_d", "grad_r"])
-    t.add_argument("--ordering", choices=["bfs", "dfs", "default", "degree", "kcore"])
+    t.add_argument("--mode", choices=MODES)
+    t.add_argument("--ordering", choices=ORDERINGS)
     t.add_argument("--block-size", type=int, dest="block_size")
     t.add_argument("--resume", action="store_true", help="continue from an existing checkpoint")
     t.set_defaults(fn=cmd_train)
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--fixed-n", type=int, dest="fixed_n")
     s.add_argument("--seed", type=int)
-    s.add_argument("--mode", choices=["grad", "grad_d", "grad_r"], help="override the checkpoint's sampling mode")
+    s.add_argument("--mode", choices=MODES, help="override the checkpoint's sampling mode")
     s.set_defaults(fn=cmd_sample)
 
     e = sub.add_parser("eval", help="MMD evaluation of samples against a test set")
@@ -332,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("show-config", help="print the effective configuration")
     c.add_argument("--config")
     c.add_argument("--seed", type=int)
-    c.add_argument("--mode", choices=["grad", "grad_d", "grad_r"])
-    c.add_argument("--ordering", choices=["bfs", "dfs", "default", "degree", "kcore"])
+    c.add_argument("--mode", choices=MODES)
+    c.add_argument("--ordering", choices=ORDERINGS)
     c.add_argument("--block-size", type=int, dest="block_size")
     c.set_defaults(fn=cmd_show_config)
     return p

@@ -53,6 +53,8 @@ class RunConfig:
             raise ConfigError("d must be even (the flow splits feature channels in half)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"config field 'seed' must be a non-negative integer, got {self.seed!r}")
         if self.flow_noise < 0 or self.decoder_noise < 0:
             raise ConfigError("noise levels cannot be negative")
         from .graphdata.ordering import ORDERINGS

@@ -38,6 +38,7 @@ __all__ = [
     "graph_nll",
     "dataset_nll",
     "train_autodecoder",
+    "decoder_epoch_budget",
     "sample_block",
     "sample_graph",
     "init_decoder_params",
@@ -290,6 +291,11 @@ def sample_graph(
 # -- training ------------------------------------------------------------------
 
 
+def decoder_epoch_budget(cfg: RunConfig) -> int:
+    """The decoder's epoch budget: ``grad_r`` runs three times ``decoder_epochs``."""
+    return cfg.decoder_epochs * (3 if cfg.mode == "grad_r" else 1)
+
+
 def train_autodecoder(
     train_ordered: list[OrderedLower],
     cfg: RunConfig,
@@ -312,7 +318,7 @@ def train_autodecoder(
     """
     if not train_ordered:
         raise ValueError("empty training set")
-    total_epochs = cfg.decoder_epochs * (3 if cfg.mode == "grad_r" else 1)
+    total_epochs = decoder_epoch_budget(cfg)
     stop = total_epochs if stop_epoch is None else min(stop_epoch, total_epochs)
     if params is None:
         params = init_decoder_params(cfg, np.random.default_rng([cfg.seed, 0xDEC0]))

@@ -170,7 +170,7 @@ def _connected_quads(masks: list[int], n: int):
                 stack.append((sub + (w,), ext | excl, closed | wbit | masks[w]))
 
 
-# orbit id by (edge count, node degree inside the graphlet)
+# orbit id by (edge count, node degree inside the graphlet, whether a node has degree 3)
 _QUAD_ORBIT = {
     (3, 1, False): 4,  # path end
     (3, 2, False): 5,  # path middle
@@ -180,9 +180,9 @@ _QUAD_ORBIT = {
     (4, 1, True): 9,  # paw pendant
     (4, 2, True): 10,  # paw triangle rim
     (4, 3, True): 11,  # paw triangle apex
-    (5, 2, False): 12,  # diamond rim
-    (5, 3, False): 13,  # diamond hub
-    (6, 3, False): 14,  # 4-clique
+    (5, 2, True): 12,  # diamond rim
+    (5, 3, True): 13,  # diamond hub
+    (6, 3, True): 14,  # 4-clique
 }
 
 
@@ -191,17 +191,9 @@ def _classify_quad(quad, masks, counts) -> None:
     sub = (1 << a) | (1 << b) | (1 << c) | (1 << d)
     degs = [(masks[x] & sub).bit_count() for x in quad]
     e = sum(degs) // 2
-    if e == 3:
-        star = 3 in degs
-        for x, dg in zip(quad, degs):
-            counts[x, _QUAD_ORBIT[(3, dg, star)]] += 1.0
-    elif e == 4:
-        paw = 3 in degs
-        for x, dg in zip(quad, degs):
-            counts[x, _QUAD_ORBIT[(4, dg, paw)]] += 1.0
-    else:
-        for x, dg in zip(quad, degs):
-            counts[x, _QUAD_ORBIT[(e, dg, False)]] += 1.0
+    hub = 3 in degs
+    for x, dg in zip(quad, degs):
+        counts[x, _QUAD_ORBIT[(e, dg, hub)]] += 1.0
 
 
 # -- squared MMD -----------------------------------------------------------

@@ -12,7 +12,7 @@ import tempfile
 
 from .core import Graph
 
-__all__ = ["load_graphs", "save_graphs", "ParseError", "atomic_write_text"]
+__all__ = ["load_graphs", "save_graphs", "ParseError", "atomic_write_bytes", "atomic_write_text"]
 
 
 class ParseError(ValueError):
@@ -21,19 +21,24 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the byte chunks via a temp file in the same directory, then rename."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def save_graphs(path, graphs: list[Graph], comment: str | None = None) -> None:

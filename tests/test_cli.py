@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gradgen.config import ConfigError, RunConfig, format_config, load_config, p
 from gradgen.decoder import LatentStore, init_decoder_params, train_autodecoder
 from gradgen.evalstats import STATISTICS
 from gradgen.flow import init_flow_params
-from gradgen.graphdata import gen_cycles, load_graphs, order_nodes, save_graphs, to_lower
+from gradgen.graphdata import atomic_write_text, gen_cycles, load_graphs, order_nodes, save_graphs, to_lower
 from gradgen.tensorcore.optim import AdamState
 
 
@@ -108,6 +109,19 @@ def test_config_rejects_bad_values():
         parse_config("d = x\n")
     with pytest.raises(ConfigError):
         parse_config("d : 3\n")
+    with pytest.raises(ConfigError, match=r"^config field 'seed' must be a non-negative integer, got -1$"):
+        parse_config("seed = -1\n")
+
+
+@pytest.mark.parametrize("command", ["train", "sample"])
+def test_negative_seed_flag_is_named(command, tmp_path, capsys, monkeypatch):
+    ckpt = tmp_path / "m.ckpt"
+    ckpt_io.save_checkpoint(ckpt, small_checkpoint())
+    monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    args = {"train": ["train", str(tmp_path / "none.g"), "--out", str(ckpt)],
+            "sample": ["sample", str(ckpt), "2", "--out", str(tmp_path / "x.g")]}[command]
+    assert cli.main(args + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: config field 'seed' must be a non-negative integer, got -1\n"
 
 
 def test_config_file_errors_name_the_file(tmp_path, capsys, monkeypatch):
@@ -213,7 +227,34 @@ def edit_first_entry(edit):
     return lambda h: {**h, "entries": [edit(h["entries"][0])] + h["entries"][1:]}
 
 
-def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, capsys, monkeypatch):
+def edit_entry(name, edit):
+    """A header edit that replaces the entry-table row of tensor ``name`` by ``edit(row)``."""
+    return lambda h: {**h, "entries": [edit(e) if e["name"] == name else e for e in h["entries"]]}
+
+
+def drop_entry(name):
+    return lambda h: {**h, "entries": [e for e in h["entries"] if e["name"] != name]}
+
+
+def set_field(key, value):
+    return lambda h: {**h, key: value}
+
+
+# the header's scalar fields, each with values of the wrong JSON type or sign
+BAD_FIELD_VALUES = {
+    "decoder_epochs_done": ["3", 2.0, True, None, -4],
+    "flow_epochs_done": ["3", -1],
+    "decoder_adam_step": [None, "17", False, -1],
+    "flow_adam_step": [1.5, -2],
+    "has_flow": [1, "yes", None],
+    "flow_initialized": ["no", 0],
+    "train_sizes": [5, "4,6", [4, "6"], [4, 0], [4, -6], [4, True]],
+    "config": [[], "d = 8"],
+    "entries": [5, {}],
+}
+
+
+def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, tiny_data, capsys, monkeypatch):
     good = tmp_path / "m.ckpt"
     ckpt_io.save_checkpoint(good, small_checkpoint())
     data = good.read_bytes()
@@ -228,15 +269,28 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, capsys, monke
         ckpt_io.load_checkpoint(bad)
     # well-formed JSON that is not a checkpoint header, through the library and the CLI
     monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    header = json.loads(data[16 : 16 + hlen])
+    d = header["config"]["d"]
     for edit, message in [
-        (lambda h: {k: v for k, v in h.items() if k != "entries"}, "header has no 'entries'"),
+        *[(lambda h, key=key: {k: v for k, v in h.items() if k != key}, f"header has no '{key}'") for key in header],
+        *[(set_field(key, value), rf"header field '{key}' must be .*, got {re.escape(repr(value))}$")
+          for key, values in BAD_FIELD_VALUES.items() for value in values],
         (lambda h: [h], "header is a JSON list, not an object"),
+        (lambda h: {**h, "config": {**h["config"], "seed": 1.5}},
+         r"bad config \(config field 'seed' must be a non-negative integer, got 1\.5\)"),
+        (set_field("train_sizes", [4, 7]), rf"tensor latent/1 has shape \(6, {d}\), expected \(7, {d}\)"),
+        (edit_entry("latent/0", lambda e: {**e, "shape": [2, 2 * d]}),
+         rf"tensor latent/0 has shape \(2, {2 * d}\), expected \(4, {d}\)"),
+        (drop_entry("adam-v/decoder/pi/w3"), "missing tensor adam-v/decoder/pi/w3"),
+        (edit_entry("adam-m/decoder/lam/w1", lambda e: {**e, "shape": e["shape"][::-1]}),
+         r"tensor adam-m/decoder/lam/w1 has shape \(\d+, \d+\), expected"),
+        (set_field("flow_adam_step", 2), "missing tensor adam-m/flow/"),
+        (lambda h: {**h, "has_flow": False, "flow_adam_step": 2},
+         "'flow_adam_step' is 2 but the checkpoint has no flow"),
         (lambda h: {**h, "config": {**h["config"], "dd": 1}}, r"bad config \(.*unexpected keyword argument 'dd'\)"),
-        (lambda h: {**h, "entries": [e for e in h["entries"] if e["name"] != "latent/1"]},
-         "missing tensor latent/1"),
+        (drop_entry("latent/1"), "missing tensor latent/1"),
         *[(edit_first_entry(lambda e, key=key: {k: v for k, v in e.items() if k != key}), f"entry 0 has no '{key}'")
           for key in ("name", "shape", "offset")],
-        (lambda h: {**h, "entries": 5}, "'entries' is a JSON int, not a list"),
         (edit_first_entry(lambda e: 5), "entry 0 is a JSON int, not an object"),
         *[(edit_first_entry(lambda e, key=key, value=value: {**e, key: value}),
            f"entry 0 needs a string name and non-negative integer shape and offset, "
@@ -246,9 +300,14 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, capsys, monke
         bad.write_bytes(with_header(data, edit))
         with pytest.raises(ckpt_io.CheckpointError, match=rf"bad\.ckpt: {message}"):
             ckpt_io.load_checkpoint(bad)
-        assert cli.main(["sample", str(bad), "2", "--out", str(tmp_path / "x.g")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        for argv in (["sample", str(bad), "2", "--out", str(tmp_path / "x.g")],
+                     ["train", tiny_data, "--out", str(bad), "--resume"]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+    # the parent format's copies of the config and the latent count are not read
+    bad.write_bytes(with_header(data, set_field("n_latents", "3")))
+    assert ckpt_io.load_checkpoint(bad).train_sizes == [4, 6]
 
 
 def test_checkpoint_truncated_payload_is_named(tmp_path):
@@ -285,14 +344,17 @@ class _Interrupted(Exception):
     pass
 
 
-@pytest.mark.parametrize("phase,crash_epoch", [("decoder", 3), ("flow", 1)])
-def test_resumed_log_matches_straight_run(tmp_path, tiny_data, monkeypatch, phase, crash_epoch):
+def interrupt_and_resume(tmp_path, data, monkeypatch, phase, crash_epoch, edit_header=lambda h: h):
+    """Train a small grad model straight through, then again with an
+    interruption after logging ``crash_epoch`` of ``phase`` and a resume from
+    the last checkpoint, its header first replaced by ``edit_header(header)``.
+    Returns the paths of the straight and the resumed checkpoint."""
     cfg = tmp_path / "resume.cfg"
     cfg.write_text(TINY_CFG.replace("decoder_epochs = 2", "decoder_epochs = 5").replace("flow_epochs = 2", "flow_epochs = 4"))
     monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
     monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
     straight = tmp_path / "straight.ckpt"
-    assert cli.main(["train", tiny_data, "--config", str(cfg), "--out", str(straight)]) == 0
+    assert cli.main(["train", data, "--config", str(cfg), "--out", str(straight)]) == 0
 
     # crash after logging `crash_epoch`, past the last checkpoint (epoch 2 or 0)
     log_row = cli._EpochLog.__call__
@@ -305,15 +367,61 @@ def test_resumed_log_matches_straight_run(tmp_path, tiny_data, monkeypatch, phas
             raise _Interrupted
 
     resumed = tmp_path / "resumed.ckpt"
-    args = ["train", tiny_data, "--config", str(cfg), "--out", str(resumed)]
+    args = ["train", data, "--config", str(cfg), "--out", str(resumed)]
     monkeypatch.setattr(cli._EpochLog, "__call__", crashing)
     with pytest.raises(_Interrupted):
         cli.main(args)
     monkeypatch.setattr(cli._EpochLog, "__call__", log_row)
+    resumed.write_bytes(with_header(resumed.read_bytes(), edit_header))
     assert cli.main(args + ["--resume"]) == 0
+    return straight, resumed
+
+
+@pytest.mark.parametrize("phase,crash_epoch", [("decoder", 3), ("flow", 1)])
+def test_resumed_log_matches_straight_run(tmp_path, tiny_data, monkeypatch, phase, crash_epoch):
+    interrupt_and_resume(tmp_path, tiny_data, monkeypatch, phase, crash_epoch)
     text = (tmp_path / "resumed.ckpt.log").read_bytes()
     assert text == (tmp_path / "straight.ckpt.log").read_bytes()
     assert text.count(b"summary,") == 1
+
+
+def test_parent_format_checkpoint_resumes(tmp_path, tiny_data, monkeypatch):
+    # headers written before `seed`, `mode` and `n_latents` were dropped
+    def parent_format(h):
+        return {**h, "seed": h["config"]["seed"], "mode": h["config"]["mode"], "n_latents": len(h["train_sizes"])}
+
+    straight, resumed = interrupt_and_resume(tmp_path, tiny_data, monkeypatch, "decoder", 3, parent_format)
+    assert resumed.read_bytes() == straight.read_bytes()
+    assert (tmp_path / "resumed.ckpt.log").read_bytes() == (tmp_path / "straight.ckpt.log").read_bytes()
+
+
+@pytest.mark.parametrize("fails", ["write", "rename"])
+@pytest.mark.parametrize("writer", ["text", "checkpoint"])
+def test_failed_atomic_write_keeps_the_old_file(tmp_path, monkeypatch, writer, fails):
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    ckpt = small_checkpoint()
+    if fails == "write":
+        mkstemp = tempfile.mkstemp
+
+        def read_only_mkstemp(*args, **kwargs):  # every write fails, as on a full disk
+            fd, name = mkstemp(*args, **kwargs)
+            os.close(fd)
+            return os.open(name, os.O_RDONLY), name
+
+        monkeypatch.setattr(tempfile, "mkstemp", read_only_mkstemp)
+    else:
+        def refuse(src, dst):
+            raise PermissionError(f"cannot rename {src}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        if writer == "text":
+            atomic_write_text(path, "new\n" * 10_000)
+        else:
+            ckpt_io.save_checkpoint(path, ckpt)
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out"]
 
 
 # -- commands ----------------------------------------------------------------
