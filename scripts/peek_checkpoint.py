@@ -12,6 +12,7 @@ import numpy as np
 
 from gradgen import checkpoint as ckpt_io
 from gradgen.cli import draw_graphs
+from gradgen.config import MODES
 from gradgen.evalstats import lobster_validity, mmd_suite
 from gradgen.graphdata import load_graphs
 
@@ -19,7 +20,7 @@ from gradgen.graphdata import load_graphs
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("checkpoint")
-    ap.add_argument("--mode", default=None)
+    ap.add_argument("--mode", choices=MODES)
     ap.add_argument("-n", type=int, default=20)
     ap.add_argument("--seed", type=int, default=123)
     args = ap.parse_args(argv)

@@ -63,6 +63,8 @@ def cmd_gen_data(args) -> None:
     gen = GENERATORS.get(args.dataset)
     if gen is None:
         raise ConfigError(f"unknown dataset {args.dataset!r}; choose from {sorted(GENERATORS)}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     graphs = gen(seed=args.seed)
     save_graphs(args.out, graphs, comment=f"dataset={args.dataset} seed={args.seed}")
     sizes = [g.n for g in graphs]
@@ -164,25 +166,20 @@ def cmd_train(args) -> None:
             os.unlink(log_path)
 
     decoder_total = decoder_epoch_budget(cfg)
-    log = _EpochLog(log_path, "decoder")
-    while ckpt.decoder_epochs_done < decoder_total:
-        until = min(ckpt.decoder_epochs_done + CHECKPOINT_EVERY, decoder_total)
-        params, store, _ = train_autodecoder(
+    for start in range(ckpt.decoder_epochs_done, decoder_total, CHECKPOINT_EVERY):
+        stop = min(start + CHECKPOINT_EVERY, decoder_total)
+        ckpt.decoder, ckpt.store, _ = train_autodecoder(
             train_ordered,
             cfg,
             params=ckpt.decoder,
             store=ckpt.store,
             adam=ckpt.decoder_adam,
-            start_epoch=ckpt.decoder_epochs_done,
-            stop_epoch=until,
-            log=log,
+            start_epoch=start,
+            stop_epoch=stop,
+            log=_EpochLog(log_path, "decoder"),
         )
-        ckpt.decoder = params
-        ckpt.store = store
-        ckpt.decoder_epochs_done = until
+        ckpt.decoder_epochs_done = stop
         ckpt_io.save_checkpoint(args.out, ckpt)
-    if ckpt.decoder is None:
-        raise ConfigError("decoder training budget is zero epochs")
     ckpt.store.check()
     final_nll = dataset_nll(train_ordered, ckpt.store.codes, ckpt.decoder, k=cfg.K)
     if not summary_logged:
@@ -190,21 +187,19 @@ def cmd_train(args) -> None:
     print(f"decoder done: clean train NLL {final_nll:.5g}")
 
     if cfg.mode == "grad":
-        flow_log = _EpochLog(log_path, "flow")
-        while ckpt.flow_epochs_done < cfg.flow_epochs:
-            until = min(ckpt.flow_epochs_done + CHECKPOINT_EVERY, cfg.flow_epochs)
-            flow, _ = train_flow(
+        for start in range(ckpt.flow_epochs_done, cfg.flow_epochs, CHECKPOINT_EVERY):
+            stop = min(start + CHECKPOINT_EVERY, cfg.flow_epochs)
+            ckpt.flow, _ = train_flow(
                 ckpt.store,
                 train_ordered,
                 cfg,
                 params=ckpt.flow,
                 adam=ckpt.flow_adam,
-                start_epoch=ckpt.flow_epochs_done,
-                epochs=until,
-                log=flow_log,
+                start_epoch=start,
+                epochs=stop,
+                log=_EpochLog(log_path, "flow"),
             )
-            ckpt.flow = flow
-            ckpt.flow_epochs_done = until
+            ckpt.flow_epochs_done = stop
             ckpt_io.save_checkpoint(args.out, ckpt)
         print("flow done")
     print(f"checkpoint: {args.out}")

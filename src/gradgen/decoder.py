@@ -19,7 +19,7 @@ from .config import RunConfig
 from .graphdata.core import Graph, OrderedLower, lower_edges
 from .tensorcore import engine as eng
 from .tensorcore.engine import Tensor
-from .tensorcore.optim import AdamState, adam_step, lr_schedule, sgd_project_step
+from .tensorcore.optim import AdamState, lr_schedule, sgd_project_step, train_epochs
 
 # Steps with at least this many nodes keep only the GA stack's output on the
 # tape and recompute its activations in the backward pass. On batches of 20
@@ -310,11 +310,10 @@ def train_autodecoder(
     """Joint optimization of decoder parameters (Adam, step-decay schedule) and
     latent codes (projected gradient ascent, two updates per batch step).
 
-    ``grad_r`` mode freezes the codes at their initial random draws and is
-    conventionally run with a tripled epoch budget. ``stop_epoch`` ends the
-    run early (for periodic checkpointing) while the decay schedule still
-    spans the full budget. Returns the parameters, the latent store, and the
-    loss curve as (epoch, lr, mean train NLL) rows.
+    ``grad_r`` mode freezes the codes at their initial random draws.
+    ``stop_epoch`` ends the run early (for periodic checkpointing) while the
+    decay schedule still spans the full budget. Returns the parameters, the
+    latent store, and the loss curve as (epoch, lr, mean train NLL) rows.
     """
     if not train_ordered:
         raise ValueError("empty training set")
@@ -325,72 +324,49 @@ def train_autodecoder(
     if store is None:
         rng = np.random.default_rng([cfg.seed, 0x1A7E])
         store = LatentStore([np.clip(rng.standard_normal((ol.n, cfg.d)), -1.0, 1.0) for ol in train_ordered])
-    if adam is None:
-        adam = AdamState()
     param_list = params.as_dict()
+    leaves = list(param_list.values())
     learn_codes = cfg.mode != "grad_r"
-    curve = []
-    n_train = len(train_ordered)
-    for epoch in range(start_epoch, stop):
-        lr = lr_schedule("step-decay", epoch, base=cfg.tau, total=total_epochs)
-        rng = np.random.default_rng([cfg.seed, 0xE90C, epoch])
-        order = rng.permutation(n_train)
-        epoch_nlls = []
-        for lo in range(0, n_train, cfg.batch):
-            batch = [int(gi) for gi in order[lo : lo + cfg.batch]]
-            # pass 1: simultaneous parameter and code update from shared grads
-            mean_pgrads = {name: np.zeros_like(t.data) for name, t in param_list.items()}
-            cgrads = {}
+
+    def graph_grads(epoch, gi, rng, wrt=leaves):
+        """NLL of graph ``gi`` at noisy codes and its gradients for ``wrt``; learned
+        codes take a projected ascent step on their likelihood plus Gaussian prior."""
+        z = store.codes[gi]
+        codes = Tensor(_noisy(z, cfg.decoder_noise, rng), requires_grad=learn_codes)
+        loss, grads = eng.run_diagnosed(
+            lambda: graph_nll(train_ordered[gi], codes, params, k=cfg.K),
+            wrt + [codes] if learn_codes else wrt,
+            f"training diverged at epoch {epoch}, graph {gi}",
+        )
+        if learn_codes:
+            store.codes[gi] = sgd_project_step(z, -grads[codes] - z, cfg.delta)
+        return loss, grads
+
+    def second_code_pass(epoch, batch, rng):
+        """One more code step per graph at the new parameters, which are
+        frozen so backward skips their gradient blocks."""
+        for t in leaves:
+            t.requires_grad = False
+        try:
             for gi in batch:
-                noisy = _noisy(store.codes[gi], cfg.decoder_noise, rng)
-                nll, pgrads, cgrads[gi] = _eval_checked(
-                    train_ordered[gi], noisy, params, param_list, learn_codes, cfg.K, epoch, gi
-                )
-                epoch_nlls.append(nll)
-                for name in mean_pgrads:
-                    mean_pgrads[name] += pgrads[name]
-            for name in mean_pgrads:
-                mean_pgrads[name] /= len(batch)
-            adam_step(param_list, mean_pgrads, adam, lr)
-            if learn_codes:
-                for gi in batch:
-                    store.codes[gi] = _ascend(store.codes[gi], cgrads[gi], cfg.delta)
-                # pass 2: second code update at the new parameters; parameter
-                # tensors are frozen so backward skips their gradient blocks
-                for t in param_list.values():
-                    t.requires_grad = False
-                try:
-                    for gi in batch:
-                        noisy = _noisy(store.codes[gi], cfg.decoder_noise, rng)
-                        _, _, cgrad = _eval_checked(train_ordered[gi], noisy, params, {}, True, cfg.K, epoch, gi)
-                        store.codes[gi] = _ascend(store.codes[gi], cgrad, cfg.delta)
-                finally:
-                    for t in param_list.values():
-                        t.requires_grad = True
-        curve.append((epoch, lr, float(np.mean(epoch_nlls))))
-        if log is not None:
-            log(epoch, lr, float(np.mean(epoch_nlls)))
-    return params, store, curve
+                graph_grads(epoch, gi, rng, [])
+        finally:
+            for t in leaves:
+                t.requires_grad = True
+
+    return params, store, train_epochs(
+        param_list,
+        adam,
+        range(start_epoch, stop),
+        len(train_ordered),
+        cfg.batch,
+        seed=(cfg.seed, 0xE90C),
+        lr_at=lambda epoch: lr_schedule("step-decay", epoch, base=cfg.tau, total=total_epochs),
+        graph_grads=graph_grads,
+        after_step=second_code_pass if learn_codes else None,
+        log=log,
+    )
 
 
 def _noisy(z: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
     return z + noise * rng.standard_normal(z.shape) if noise > 0 else z
-
-
-def _ascend(z: np.ndarray, cgrad: np.ndarray, delta: float) -> np.ndarray:
-    """Projected ascent on the code likelihood plus its Gaussian prior."""
-    return sgd_project_step(z, -cgrad - z, delta)
-
-
-def _eval_checked(ol, noisy, params, param_list, learn_codes, k, epoch, gi):
-    """One evaluation: (nll value, param grads dict, code grad or None). A
-    diverged objective is re-evaluated with per-op checks for a named diagnostic."""
-    codes = Tensor(noisy, requires_grad=learn_codes)
-
-    def run():
-        loss = graph_nll(ol, codes, params, k=k)
-        return loss, eng.grad(loss, list(param_list.values()) + ([codes] if learn_codes else []))
-
-    loss, grads = eng.run_diagnosed(run, f"training diverged at epoch {epoch}, graph {gi}")
-    pgrads = {name: grads[t] for name, t in param_list.items()}
-    return float(loss.data), pgrads, grads[codes] if learn_codes else None

@@ -19,7 +19,7 @@ from .config import RunConfig
 from .graphdata.core import OrderedLower, lower_edges
 from .tensorcore import engine as eng
 from .tensorcore.engine import Tensor
-from .tensorcore.optim import AdamState, adam_step, lr_schedule
+from .tensorcore.optim import AdamState, lr_schedule, train_epochs
 
 __all__ = [
     "FlowParams",
@@ -252,43 +252,33 @@ def train_flow(
     total_epochs = epochs if epochs is not None else cfg.flow_epochs
     if params is None:
         params = init_flow_params(cfg, np.random.default_rng([cfg.seed, 0xF10A]))
-    if adam is None:
-        adam = AdamState()
     param_list = params.as_dict()
+    leaves = list(param_list.values())
     masks = [mask_from_ordered(ol) for ol in ordered]
-    n_train = len(codes)
-    curve = []
-    for epoch in range(start_epoch, total_epochs):
-        lr = lr_schedule("exponential", epoch, base=cfg.flow_lr, gamma=cfg.flow_gamma)
-        rng = np.random.default_rng([cfg.seed, 0xF10E, epoch])
-        order = rng.permutation(n_train)
+
+    def init_on_first_batch(epoch, batch, rng):
         if not params.initialized:
-            first = [int(i) for i in order[: cfg.batch]]
-            init_batch = [
-                (codes[i] + cfg.flow_noise * rng.standard_normal(codes[i].shape), masks[i]) for i in first
-            ]
+            init_batch = [(codes[i] + cfg.flow_noise * rng.standard_normal(codes[i].shape), masks[i]) for i in batch]
             init_actnorms(params, init_batch)
-        epoch_nlls = []
-        for lo in range(0, n_train, cfg.batch):
-            batch = order[lo : lo + cfg.batch]
-            mean_grads = {name: np.zeros_like(t.data) for name, t in param_list.items()}
-            for gi in batch:
-                gi = int(gi)
-                z = codes[gi]
-                noisy = z + cfg.flow_noise * rng.standard_normal(z.shape) if cfg.flow_noise > 0 else z
 
-                def run():
-                    loss = flow_nll(noisy, masks[gi], params) * Tensor(1.0 / z.shape[0])
-                    return loss, eng.grad(loss, list(param_list.values()))
+    def graph_grads(epoch, gi, rng):
+        z = codes[gi]
+        noisy = z + cfg.flow_noise * rng.standard_normal(z.shape) if cfg.flow_noise > 0 else z
+        return eng.run_diagnosed(
+            lambda: flow_nll(noisy, masks[gi], params) * Tensor(1.0 / z.shape[0]),
+            leaves,
+            f"flow training diverged at epoch {epoch}, graph {gi}",
+        )
 
-                loss, grads = eng.run_diagnosed(run, f"flow training diverged at epoch {epoch}, graph {gi}")
-                epoch_nlls.append(float(loss.data))
-                for name, t in param_list.items():
-                    mean_grads[name] += grads[t]
-            for name in mean_grads:
-                mean_grads[name] /= len(batch)
-            adam_step(param_list, mean_grads, adam, lr)
-        curve.append((epoch, lr, float(np.mean(epoch_nlls))))
-        if log is not None:
-            log(epoch, lr, float(np.mean(epoch_nlls)))
-    return params, curve
+    return params, train_epochs(
+        param_list,
+        adam,
+        range(start_epoch, total_epochs),
+        len(codes),
+        cfg.batch,
+        seed=(cfg.seed, 0xF10E),
+        lr_at=lambda epoch: lr_schedule("exponential", epoch, base=cfg.flow_lr, gamma=cfg.flow_gamma),
+        graph_grads=graph_grads,
+        before_step=init_on_first_batch,
+        log=log,
+    )

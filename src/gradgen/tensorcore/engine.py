@@ -84,19 +84,20 @@ def finite_checks():
         _FINITE_CHECKS = prev
 
 
-def run_diagnosed(run: Callable[[], tuple], context: str) -> tuple:
-    """``run()``, which evaluates an objective and its gradients.
+def run_diagnosed(objective: Callable[[], Tensor], leaves: Sequence[Tensor], context: str) -> tuple[float, dict]:
+    """The value of ``objective()`` and its gradients for ``leaves``.
 
-    If it raises :class:`NonFiniteError`, ``run`` is repeated under
+    If the evaluation raises :class:`NonFiniteError`, it is repeated under
     :func:`finite_checks`, and a ``RuntimeError`` that starts with
     ``context`` names the primitive that produced the first non-finite value.
     """
     try:
-        return run()
+        loss = objective()
+        return float(loss.data), grad(loss, leaves)
     except NonFiniteError as first:
         with finite_checks():
             try:
-                run()
+                grad(objective(), leaves)
             except NonFiniteError as e:
                 raise RuntimeError(f"{context}: {e}") from e
         raise RuntimeError(f"{context}: {first}") from first
@@ -156,8 +157,8 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _lift(other))
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
 
 def _lift(x) -> Tensor:
@@ -375,20 +376,18 @@ def logsigmoid(a: Tensor) -> Tensor:
 # -- reductions ----------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make("sum", data, (a,), bwd)
 
 
-def logsumexp(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     x = a.data
     m = x.max(axis=axis, keepdims=True) if x.size else np.zeros((1,) * x.ndim)
     m = np.where(np.isfinite(m), m, 0.0)
@@ -396,13 +395,10 @@ def logsumexp(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
     s = e.sum(axis=axis, keepdims=True)
     out = np.log(s) + m
     soft = e / s
-    if not keepdims:
-        out = out.squeeze() if axis is None else out.squeeze(axis=axis)
+    out = out.squeeze() if axis is None else out.squeeze(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (g * soft,)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (g * soft,)
 

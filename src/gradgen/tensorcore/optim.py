@@ -1,4 +1,4 @@
-"""Adam, projected gradient-ascent for latent codes, and the two LR schedules."""
+"""Adam, projected gradient-ascent for latent codes, the two LR schedules, and the trainers' epoch loop."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .engine import Tensor
 
-__all__ = ["AdamState", "adam_step", "sgd_project_step", "lr_schedule"]
+__all__ = ["AdamState", "adam_step", "sgd_project_step", "lr_schedule", "train_epochs"]
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba defaults)
 BETA1 = 0.9
@@ -77,3 +77,43 @@ def lr_schedule(kind: str, epoch: int, *, base: float, total: int = 0, gamma: fl
     if kind == "exponential":
         return base * gamma**epoch
     raise ValueError(f"unknown schedule kind: {kind!r}")
+
+
+def train_epochs(
+    params, adam, epochs, n_graphs, batch_size, *, seed, lr_at, graph_grads, before_step=None, after_step=None, log=None
+) -> list[tuple[int, float, float]]:
+    """Minibatch Adam on the parameter dict ``params``; returns and logs one
+    (epoch, lr, mean loss) row per epoch in ``epochs``.
+
+    Each epoch's ``rng = default_rng([*seed, epoch])`` permutes the ``n_graphs``
+    graphs into ``batch_size`` slices. Per batch, one :func:`adam_step` at
+    ``lr_at(epoch)`` takes the mean of the gradients, keyed by tensor, that
+    ``graph_grads(epoch, gi, rng)`` returns with each graph's loss, between
+    ``before_step(epoch, batch, rng)`` and ``after_step(epoch, batch, rng)``.
+    """
+    adam = AdamState() if adam is None else adam
+    curve = []
+    for epoch in epochs:
+        lr = lr_at(epoch)
+        rng = np.random.default_rng([*seed, epoch])
+        order = rng.permutation(n_graphs)
+        losses = []
+        for lo in range(0, n_graphs, batch_size):
+            batch = [int(gi) for gi in order[lo : lo + batch_size]]
+            if before_step is not None:
+                before_step(epoch, batch, rng)
+            mean = {name: np.zeros_like(t.data) for name, t in params.items()}
+            for gi in batch:
+                loss, grads = graph_grads(epoch, gi, rng)
+                losses.append(loss)
+                for name, t in params.items():
+                    mean[name] += grads[t]
+            for name in mean:
+                mean[name] /= len(batch)
+            adam_step(params, mean, adam, lr)
+            if after_step is not None:
+                after_step(epoch, batch, rng)
+        curve.append((epoch, lr, float(np.mean(losses))))
+        if log is not None:
+            log(*curve[-1])
+    return curve

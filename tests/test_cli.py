@@ -113,15 +113,18 @@ def test_config_rejects_bad_values():
         parse_config("seed = -1\n")
 
 
-@pytest.mark.parametrize("command", ["train", "sample"])
+@pytest.mark.parametrize("command", ["train", "sample", "gen-data"])
 def test_negative_seed_flag_is_named(command, tmp_path, capsys, monkeypatch):
     ckpt = tmp_path / "m.ckpt"
     ckpt_io.save_checkpoint(ckpt, small_checkpoint())
     monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
     args = {"train": ["train", str(tmp_path / "none.g"), "--out", str(ckpt)],
-            "sample": ["sample", str(ckpt), "2", "--out", str(tmp_path / "x.g")]}[command]
+            "sample": ["sample", str(ckpt), "2", "--out", str(tmp_path / "x.g")],
+            "gen-data": ["gen-data", "lobster", str(tmp_path / "x.g")]}[command]
     assert cli.main(args + ["--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "error: config field 'seed' must be a non-negative integer, got -1\n"
+    named = "--seed" if command == "gen-data" else "config field 'seed'"
+    assert capsys.readouterr().err == f"error: {named} must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "x.g").exists()
 
 
 def test_config_file_errors_name_the_file(tmp_path, capsys, monkeypatch):
@@ -508,6 +511,9 @@ def test_peek_checkpoint_prints_the_four_statistics(tmp_path, tiny_data, tiny_cf
     spec = importlib.util.spec_from_file_location("peek_checkpoint", script)
     peek = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(peek)
+    with pytest.raises(SystemExit) as bad_mode:
+        peek.main([str(ckpt), "--mode", "gradd", "-n", "3"])
+    assert bad_mode.value.code == 2
     assert peek.main([str(ckpt), "--mode", "grad", "-n", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "falling back to grad_d" in "\n".join(lines)
