@@ -21,10 +21,14 @@ from .tensorcore import engine as eng
 from .tensorcore.engine import Tensor
 from .tensorcore.optim import AdamState, lr_schedule, sgd_project_step, train_epochs
 
-# Steps with at least this many nodes keep only the GA stack's output on the
-# tape and recompute its activations in the backward pass. On batches of 20
-# lobsters (n <= 100) peak RSS was 442 MiB without recomputation, and 199,
-# 210 and 245 MiB from m >= 40, 50 and 60; 50 to 60 cost ~10% in throughput.
+# Steps with at least this many nodes keep only their features and their
+# log-likelihood on the tape; the backward pass recomputes the step's GA stack
+# and block heads. On batches of 20 lobsters (n <= 100) peak RSS was 442 MiB
+# without recomputation, and 199, 210 and 245 MiB from m >= 40, 50 and 60 with
+# the GA stack alone recomputed; 50 to 60 cost ~10% in throughput. Recomputing
+# the heads too took perfbench's train_lobster from 161 to 148 MiB and one
+# 400-node grid's forward and backward from 482 to 211 MiB, at the same speed
+# (2-core host, one BLAS thread).
 CHECKPOINT_MIN_M = 50
 
 __all__ = [
@@ -167,6 +171,45 @@ def _ga_stack(x: Tensor, mask: NeighborMask, gas: list[GaParams]) -> Tensor:
     return x
 
 
+def _recomputed(fn, x: Tensor, params: list[Tensor]) -> Tensor:
+    """``fn(x)`` for a step over the m = ``len(x)`` nodes ``x``. From m >=
+    ``CHECKPOINT_MIN_M`` only the output is kept on the tape, and the backward
+    pass re-runs ``fn``, which reads ``params`` besides ``x``."""
+    if x.shape[0] >= CHECKPOINT_MIN_M:
+        return eng.checkpoint(fn, [x], params)
+    return fn(x)
+
+
+def _features(
+    lo_i: np.ndarray, lo_j: np.ndarray, carried: Tensor | None, new_codes: Tensor, params: DecoderParams
+) -> Tensor:
+    """A step's node features: the GA stack on the scaffold over the generated
+    edges (lo_i, lo_j), fed the carried features of the previous nodes and
+    the new block's codes."""
+    n_prev = 0 if carried is None else carried.shape[0]
+    mask = build_scaffold(lo_i, lo_j, n_prev, new_codes.shape[0])
+    x = new_codes if carried is None else eng.concat([carried, new_codes], axis=0)
+    ga_params = [t for ga in params.gas for _, t in ga.tensors()]
+    return _recomputed(lambda h: _ga_stack(h, mask, params.gas), x, ga_params)
+
+
+def _heads(x: Tensor, n_prev: int, params: DecoderParams) -> BlockParams:
+    """The block's edge distribution from its step's features ``x``: the new
+    nodes are the rows from ``n_prev`` on."""
+    k = x.shape[0] - n_prev
+    pair_i, pair_j = _block_pairs(n_prev, k)
+    if k == 1 and n_prev > 0:
+        # single-row block: all pairs share node i, broadcast beats gathering
+        diff = eng.narrow(x, 0, n_prev, 1) - eng.narrow(x, 0, 0, n_prev)
+    elif len(pair_i):
+        diff = eng.gather_rows(x, pair_i) - eng.gather_rows(x, pair_j)
+    else:
+        diff = eng.narrow(x, 0, 0, 0)
+    lam_logits = params.f_lam(diff)
+    pi_logits = eng.tsum(params.f_pi(diff), axis=0)
+    return BlockParams(pi_logits=pi_logits, lam_logits=lam_logits, pair_i=pair_i, pair_j=pair_j, features=x)
+
+
 def block_params(
     lo_i: np.ndarray,
     lo_j: np.ndarray,
@@ -178,26 +221,8 @@ def block_params(
     and the carried features of the previous nodes, and emit this block's edge
     distribution; ``features`` carries the refined embeddings to the next step."""
     new_codes = new_codes if isinstance(new_codes, Tensor) else Tensor(new_codes)
-    k = new_codes.shape[0]
     n_prev = 0 if carried is None else carried.shape[0]
-    mask = build_scaffold(lo_i, lo_j, n_prev, k)
-    pair_i, pair_j = _block_pairs(n_prev, k)
-    x = new_codes if carried is None else eng.concat([carried, new_codes], axis=0)
-    if mask.n >= CHECKPOINT_MIN_M:
-        ga_params = [t for ga in params.gas for _, t in ga.tensors()]
-        x = eng.checkpoint(lambda h: _ga_stack(h, mask, params.gas), [x], ga_params)
-    else:
-        x = _ga_stack(x, mask, params.gas)
-    if k == 1 and n_prev > 0:
-        # single-row block: all pairs share node i, broadcast beats gathering
-        diff = eng.narrow(x, 0, n_prev, 1) - eng.narrow(x, 0, 0, n_prev)
-    elif len(pair_i):
-        diff = eng.gather_rows(x, pair_i) - eng.gather_rows(x, pair_j)
-    else:
-        diff = eng.narrow(x, 0, 0, 0)
-    lam_logits = params.f_lam(diff)
-    pi_logits = eng.tsum(params.f_pi(diff), axis=0)
-    return BlockParams(pi_logits=pi_logits, lam_logits=lam_logits, pair_i=pair_i, pair_j=pair_j, features=x)
+    return _heads(_features(lo_i, lo_j, carried, new_codes, params), n_prev, params)
 
 
 def block_log_prob(observed: np.ndarray, bp: BlockParams) -> Tensor:
@@ -216,23 +241,25 @@ def block_log_prob(observed: np.ndarray, bp: BlockParams) -> Tensor:
 
 def _decode(codes: Tensor, params: DecoderParams, k: int, choose) -> tuple[np.ndarray, np.ndarray]:
     """The decoder's one step loop, shared by teacher forcing and sampling.
-    Each step runs ``block_params`` on the edges so far, ``choose(n_prev, bp)``
-    returns the block's 0/1 pair vector (observed or drawn), and its edges are
-    appended. Returns the graph's edges (lo_i, lo_j) in row order."""
+    Each step computes its node features on the edges so far,
+    ``choose(n_prev, features)`` returns the block's 0/1 pair vector (observed
+    or drawn), and its edges are appended. Returns the graph's edges
+    (lo_i, lo_j) in row order."""
     n = codes.shape[0]
     lo_i = lo_j = np.empty(0, dtype=np.intp)
-    carried = None
+    x = None
     for n_prev in range(0, n, k):
-        bp = block_params(lo_i, lo_j, carried, eng.narrow(codes, 0, n_prev, min(k, n - n_prev)), params)
-        hits = choose(n_prev, bp)
-        lo_i = np.concatenate([lo_i, bp.pair_i[hits]])
-        lo_j = np.concatenate([lo_j, bp.pair_j[hits]])
-        carried = bp.features
+        x = _features(lo_i, lo_j, x, eng.narrow(codes, 0, n_prev, min(k, n - n_prev)), params)
+        pair_i, pair_j = _block_pairs(n_prev, x.shape[0] - n_prev)
+        hits = choose(n_prev, x)
+        lo_i = np.concatenate([lo_i, pair_i[hits]])
+        lo_j = np.concatenate([lo_j, pair_j[hits]])
     return lo_i, lo_j
 
 
 def graph_nll(ol: OrderedLower, codes: Tensor | np.ndarray, params: DecoderParams, k: int = 1) -> Tensor:
-    """Negative log-likelihood of an ordered graph under teacher forcing."""
+    """Negative log-likelihood of an ordered graph under teacher forcing. A
+    recomputed step keeps only its features and its log-likelihood."""
     codes = codes if isinstance(codes, Tensor) else Tensor(codes)
     n = ol.n
     if codes.shape[0] != n:
@@ -241,13 +268,14 @@ def graph_nll(ol: OrderedLower, codes: Tensor | np.ndarray, params: DecoderParam
     lo_i, lo_j = lower_edges(ol.rows)
     bits = np.zeros(n * (n - 1) // 2, dtype=bool)
     bits[lo_i * (lo_i - 1) // 2 + lo_j] = True
+    head_params = [t for _, t in params.f_lam.tensors()] + [t for _, t in params.f_pi.tensors()]
     total = None
 
-    def observe(n_prev: int, bp: BlockParams) -> np.ndarray:
+    def observe(n_prev: int, x: Tensor) -> np.ndarray:
         nonlocal total
-        start = n_prev * (n_prev - 1) // 2
-        eps = bits[start : start + len(bp.pair_i)]
-        lp = block_log_prob(eps, bp)
+        m = x.shape[0]
+        eps = bits[n_prev * (n_prev - 1) // 2 : m * (m - 1) // 2]
+        lp = _recomputed(lambda h: block_log_prob(eps, _heads(h, n_prev, params)), x, head_params)
         total = lp if total is None else total + lp
         return eps
 
@@ -284,7 +312,7 @@ def sample_graph(
     if codes.shape[0] != n:
         raise ValueError("codes row count must equal the requested node count")
     with eng.no_grad():
-        lo_i, lo_j = _decode(Tensor(codes), params, k, lambda n_prev, bp: sample_block(bp, rng))
+        lo_i, lo_j = _decode(Tensor(codes), params, k, lambda n_prev, x: sample_block(_heads(x, n_prev, params), rng))
     return Graph(n, zip(lo_j.tolist(), lo_i.tolist()))
 
 

@@ -507,9 +507,11 @@ def test_checkpoint_crossover_picks_one_path_per_side(monkeypatch):
     n = ol.n
     z = Tensor(np.random.default_rng(33).standard_normal((n, cfg.d)), requires_grad=True)
     grad(graph_nll(ol, z, params), [z])
-    # forward: steps below the constant run plainly, the rest inside checkpoint;
-    # backward: each checkpointed step runs its stack once more, last step first
-    assert recorded == list(range(5, n + 1))
+    # forward: steps below the constant run plainly, the rest inside two
+    # checkpoints over the step's m rows, one for its GA stack and one for its
+    # heads and log-likelihood; backward: each checkpointed step runs its
+    # stack once more, last step first
+    assert recorded == [m for m in range(5, n + 1) for _ in ("stack", "heads")]
     assert seen == list(range(1, n + 1)) + list(range(n, 4, -1))
 
 
@@ -537,6 +539,15 @@ def test_nan_in_a_perceptron_names_its_layer():
         train_autodecoder(tiny_cycles(3), cfg, params=params)
 
 
+def test_nan_in_a_recomputed_perceptron_names_its_layer(monkeypatch):
+    """The same diagnosis with every step recomputed, so that ``f_lam`` runs
+    inside the checkpoint of its step's log-likelihood."""
+    import gradgen.decoder as dec
+
+    monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", 1)
+    test_nan_in_a_perceptron_names_its_layer()
+
+
 @pytest.mark.parametrize("frozen", [False, True], ids=["all leaves", "parameters frozen"])
 def test_mlp3_is_bitwise_equal_to_the_unfused_chain(frozen, monkeypatch):
     from gradgen.tensorcore import engine as eng
@@ -562,30 +573,64 @@ def test_mlp3_is_bitwise_equal_to_the_unfused_chain(frozen, monkeypatch):
     assert results[0] == results[1]
 
 
-def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
-    """Memory guard: on the largest committed lobster training graph (n=100)
-    the tape that backward walks holds no GA layer of a recomputed step, only
-    one checkpoint node per such step, and it keeps under 0.35 of the bytes
-    that it keeps with every step's activations retained (3028 / 3997 nodes
-    and 73.4 / 224.4 MB at CHECKPOINT_MIN_M = 50). Bytes are what tracemalloc
-    sees still allocated once the loss is built, so the activations that a
-    backward closure holds count too."""
-    import gc
+def largest_committed_lobster():
+    """The lobster config, the largest committed lobster training graph
+    (n=100) in its training order, and the decoder's initial parameters."""
     import os
-    import tracemalloc
-    from collections import Counter
 
-    import gradgen.decoder as dec
     from gradgen.config import load_config
     from gradgen.graphdata import load_graphs
-    from gradgen.tensorcore.engine import _linearize
 
     results = os.path.join(os.path.dirname(__file__), os.pardir, "results", "acceptance")
     cfg = load_config(os.path.join(results, "lobster.cfg"))
     g = max(load_graphs(os.path.join(results, "lobster.ckpt.train.g")), key=lambda g: g.n)
-    assert g.n > dec.CHECKPOINT_MIN_M
-    ol = to_lower(g, order_nodes(g, cfg.ordering))
     params = init_decoder_params(cfg, np.random.default_rng([cfg.seed, 0xDEC0]))
+    return cfg, to_lower(g, order_nodes(g, cfg.ordering)), params
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["all leaves", "parameters frozen"])
+def test_recomputation_is_bitwise_equal_at_every_threshold(frozen, monkeypatch):
+    """Recomputing every step (1), the steps from m = 50 (the default) and no
+    step (n+1) gives the same NLL and the same code and parameter gradients,
+    bit for bit, with the parameters learned (pass 1 of a batch step) and
+    frozen (pass 2)."""
+    import gradgen.decoder as dec
+
+    cfg, ol, params = largest_committed_lobster()
+    leaves = [t for _, t in params.tensors()]
+    for t in leaves:
+        t.requires_grad = not frozen
+    z0 = np.random.default_rng(39).uniform(-1.0, 1.0, (ol.n, cfg.d))
+    results = []
+    for threshold in (1, dec.CHECKPOINT_MIN_M, ol.n + 1):
+        monkeypatch.setattr(dec, "CHECKPOINT_MIN_M", threshold)
+        z = Tensor(z0, requires_grad=True)
+        loss = graph_nll(ol, z, params, k=cfg.K)
+        wrt = [z] + ([] if frozen else leaves)
+        got = grad(loss, wrt)
+        results.append([loss.data.tobytes()] + [got[t].tobytes() for t in wrt])
+    assert results[0] == results[1] == results[2]
+
+
+def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
+    """Memory guard: on the largest committed lobster training graph (n=100)
+    the tape that backward walks holds no GA layer, perceptron or mixture
+    node of a recomputed step, only two checkpoint nodes per such step (its
+    features and its log-likelihood), and it keeps under 0.29 of the bytes
+    that it keeps with every step's activations retained. Measured: 2212 /
+    3997 nodes and 56.4 / 213.9 MiB at CHECKPOINT_MIN_M = 50, a ratio of
+    0.264, so the bound leaves a margin of 0.026 (a tenth of the ratio).
+    Bytes are what tracemalloc sees still allocated once the loss is built,
+    so the activations that a backward closure holds count too."""
+    import gc
+    import tracemalloc
+    from collections import Counter
+
+    import gradgen.decoder as dec
+    from gradgen.tensorcore.engine import _linearize
+
+    cfg, ol, params = largest_committed_lobster()
+    assert ol.n > dec.CHECKPOINT_MIN_M
     z0 = np.random.default_rng(35).uniform(-1.0, 1.0, (ol.n, cfg.d))
     counts = []
     min_m = dec.CHECKPOINT_MIN_M
@@ -606,7 +651,11 @@ def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     assert cfg.K == 1  # one step per m = 1..n
     recomputed = ol.n - min_m + 1
     layers = len(params.gas)
-    assert ops["checkpoint"] == recomputed
+    assert ops["checkpoint"] == 2 * recomputed
     assert ops["dense_attention"] + ops["edge_attention"] == layers * (ol.n - recomputed)
     assert full_ops["dense_attention"] + full_ops["edge_attention"] == layers * ol.n
-    assert nbytes < 0.35 * full_bytes
+    for name in ("mlp", "logsigmoid", "logsumexp"):
+        # every step records the same number of these, so only the plain steps' remain
+        assert full_ops[name] % ol.n == 0
+        assert ops[name] == full_ops[name] // ol.n * (ol.n - recomputed)
+    assert nbytes < 0.29 * full_bytes
