@@ -1,16 +1,18 @@
 """Graph-attention normalizing flow over per-node latent codes.
 
-Each of the R steps updates one half of the feature channels conditioned on
-the other half (scale bounded by a scaled tanh before exponentiation), then
-normalizes the updated half with an actnorm (per-channel log-scale and bias)
-followed by an invertible dense channel-mixing matrix. Forward maps codes to
-a standard Gaussian with an exact log-determinant; sampling inverts the chain
-on Gaussian draws over a fully connected neighborhood mask.
+The flow is 2R affine coupling layers. Each updates one half of the feature
+channels conditioned on the other half (scale bounded by a scaled tanh before
+exponentiation), then normalizes the updated half with an actnorm (per-channel
+log-scale and bias) followed by an invertible dense channel-mixing matrix;
+the next layer updates the other half. Forward maps codes to a standard
+Gaussian with an exact log-determinant; sampling inverts the chain on Gaussian
+draws over a fully connected neighborhood mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .tensorcore.optim import AdamState, lr_schedule, train_epochs
 
 __all__ = [
     "FlowParams",
-    "FlowStep",
+    "Coupling",
     "FlowResult",
     "flow_forward",
     "flow_inverse",
@@ -38,39 +40,40 @@ __all__ = [
 SCALE_BOUND = 2.0  # exp argument is SCALE_BOUND * tanh(.)
 
 
-class FlowStep:
-    """One reversible step: four GA transforms and two normalizers."""
+class Coupling(NamedTuple):
+    """One affine coupling layer: the GA transforms giving the log-scale and
+    the shift, then the actnorm (log_s, b) and the channel mix w."""
 
-    def __init__(self, g1, g2, g3, g4, log_s1, b1, w1, log_s2, b2, w2):
-        self.g = (g1, g2, g3, g4)
-        self.log_s1, self.b1, self.w1 = log_s1, b1, w1
-        self.log_s2, self.b2, self.w2 = log_s2, b2, w2
-
-    def tensors(self):
-        for i, ga in enumerate(self.g, start=1):
-            for name, t in ga.tensors():
-                yield f"g{i}/{name}", t
-        yield "n1/log_s", self.log_s1
-        yield "n1/b", self.b1
-        yield "n1/w", self.w1
-        yield "n2/log_s", self.log_s2
-        yield "n2/b", self.b2
-        yield "n2/w", self.w2
+    g_s: GaParams
+    g_t: GaParams
+    log_s: Tensor
+    b: Tensor
+    w: Tensor
 
 
 class FlowParams:
-    def __init__(self, steps: list[FlowStep], initialized: bool = False):
-        self.steps = steps
+    """The 2R coupling layers in forward order. Layer 2i updates the second
+    half of the channels from the first, layer 2i+1 the first from the
+    updated second; checkpoints name them as step i's (g1, g2, n1) and
+    (g3, g4, n2)."""
+
+    def __init__(self, layers: list[Coupling], initialized: bool = False):
+        self.layers = layers
         self.initialized = initialized  # actnorm data-dependent init done
 
     @property
     def half_dim(self) -> int:
-        return self.steps[0].log_s1.shape[0]
+        return self.layers[0].log_s.shape[0]
 
     def tensors(self):
-        for i, step in enumerate(self.steps):
-            for name, t in step.tensors():
-                yield f"step{i}/{name}", t
+        for i, (first, second) in enumerate(zip(self.layers[::2], self.layers[1::2])):
+            for g, ga in enumerate((first.g_s, first.g_t, second.g_s, second.g_t), start=1):
+                for name, t in ga.tensors():
+                    yield f"step{i}/g{g}/{name}", t
+            for n, layer in ((1, first), (2, second)):
+                yield f"step{i}/n{n}/log_s", layer.log_s
+                yield f"step{i}/n{n}/b", layer.b
+                yield f"step{i}/n{n}/w", layer.w
 
     def as_dict(self) -> dict[str, Tensor]:
         return dict(self.tensors())
@@ -91,20 +94,13 @@ def init_flow_params(cfg: RunConfig, rng: np.random.Generator) -> FlowParams:
     """GA transforms start as the zero map (zeroed output gain) so every step
     begins near identity; mixing matrices start as random rotations."""
     d2 = cfg.d // 2
-    steps = []
-    for _ in range(cfg.R):
+    layers = []
+    for _ in range(cfg.R):  # seeded draw order per step: four GA transforms, then two rotations
         gas = [init_ga_params(rng, d2, cfg.d_s_flow, cfg.heads, zero_final=True) for _ in range(4)]
-        norms = []
-        for _ in range(2):
-            norms.append(
-                (
-                    Tensor(np.zeros(d2), requires_grad=True),
-                    Tensor(np.zeros(d2), requires_grad=True),
-                    Tensor(_random_rotation(rng, d2), requires_grad=True),
-                )
-            )
-        steps.append(FlowStep(*gas, *norms[0], *norms[1]))
-    return FlowParams(steps)
+        for g_s, g_t in (gas[:2], gas[2:]):
+            zeros = [Tensor(np.zeros(d2), requires_grad=True) for _ in range(2)]
+            layers.append(Coupling(g_s, g_t, *zeros, Tensor(_random_rotation(rng, d2), requires_grad=True)))
+    return FlowParams(layers)
 
 
 def mask_from_ordered(ol: OrderedLower) -> NeighborMask:
@@ -116,27 +112,17 @@ def _scale(h: Tensor) -> Tensor:
     return eng.tanh(h) * Tensor(SCALE_BOUND)
 
 
-def _halves(params: FlowParams):
-    """The 2R half-steps in forward order as (g_s, g_t, log_s, b, w). Each
-    step first updates the second half of the channels from the first
-    (g1, g2, n1), then the first half from the updated second (g3, g4, n2)."""
-    for step in params.steps:
-        g1, g2, g3, g4 = step.g
-        yield g1, g2, step.log_s1, step.b1, step.w1
-        yield g3, g4, step.log_s2, step.b2, step.w2
-
-
-def _coupling(cond: Tensor, mask: NeighborMask, g_s: GaParams, g_t: GaParams) -> tuple[Tensor, Tensor]:
+def _coupling(cond: Tensor, mask: NeighborMask, layer: Coupling) -> tuple[Tensor, Tensor]:
     """Bounded log-scale ``s`` and shift ``t`` of the affine coupling that
     updates one half from the other: forward ``upd * exp(s) + t``."""
-    return _scale(ga_forward(cond, mask, g_s)), ga_forward(cond, mask, g_t)
+    return _scale(ga_forward(cond, mask, layer.g_s)), ga_forward(cond, mask, layer.g_t)
 
 
-def _actnorm_fwd(x: Tensor, log_s: Tensor, b: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
+def _actnorm_fwd(x: Tensor, layer: Coupling) -> tuple[Tensor, Tensor]:
     n = x.shape[0]
-    h = x * eng.exp(log_s) + b
-    out = eng.matmul(h, w)
-    ld = (eng.tsum(log_s) + eng.logabsdet(w)) * Tensor(float(n))
+    h = x * eng.exp(layer.log_s) + layer.b
+    out = eng.matmul(h, layer.w)
+    ld = (eng.tsum(layer.log_s) + eng.logabsdet(layer.w)) * Tensor(float(n))
     return out, ld
 
 
@@ -147,9 +133,9 @@ def _check_invertible(w: np.ndarray) -> np.ndarray:
     return np.linalg.inv(w)
 
 
-def _actnorm_inv(y: np.ndarray, log_s: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    h = y @ _check_invertible(w)
-    return (h - b) * np.exp(-log_s)
+def _actnorm_inv(y: np.ndarray, layer: Coupling) -> np.ndarray:
+    h = y @ _check_invertible(layer.w.data)
+    return (h - layer.b.data) * np.exp(-layer.log_s.data)
 
 
 def flow_forward(z: Tensor | np.ndarray, mask: NeighborMask, params: FlowParams) -> FlowResult:
@@ -161,12 +147,12 @@ def flow_forward(z: Tensor | np.ndarray, mask: NeighborMask, params: FlowParams)
         raise ValueError(f"flow expects {2 * d2} feature channels, got {d}")
     cond, upd = eng.narrow(z, 1, 0, d2), eng.narrow(z, 1, d2, d2)
     logdet = Tensor(0.0)
-    for g_s, g_t, log_s, b, w in _halves(params):
-        s, t = _coupling(cond, mask, g_s, g_t)
+    for layer in params.layers:
+        s, t = _coupling(cond, mask, layer)
         logdet = logdet + eng.tsum(s)
-        upd, ld = _actnorm_fwd(upd * eng.exp(s) + t, log_s, b, w)
+        upd, ld = _actnorm_fwd(upd * eng.exp(s) + t, layer)
         logdet = logdet + ld
-        cond, upd = upd, cond  # over an even count of half-steps, back to [y0, y1]
+        cond, upd = upd, cond  # over an even count of layers, back to [y0, y1]
     return FlowResult(y=eng.concat([cond, upd], axis=1), logdet=logdet)
 
 
@@ -176,10 +162,10 @@ def flow_inverse(y: np.ndarray, mask: NeighborMask, params: FlowParams) -> np.nd
     d2 = params.half_dim
     cond, upd = y[:, :d2], y[:, d2:]
     with eng.no_grad():
-        for g_s, g_t, log_s, b, w in reversed(list(_halves(params))):
+        for layer in reversed(params.layers):
             cond, upd = upd, cond  # undo the forward pass's swap
-            upd = _actnorm_inv(upd, log_s.data, b.data, w.data)
-            s, t = _coupling(Tensor(cond), mask, g_s, g_t)
+            upd = _actnorm_inv(upd, layer)
+            s, t = _coupling(Tensor(cond), mask, layer)
             upd = (upd - t.data) * np.exp(-s.data)
     return np.concatenate([cond, upd], axis=1)
 
@@ -214,21 +200,21 @@ def init_actnorms(params: FlowParams, batch: list[tuple[np.ndarray, NeighborMask
     pairs = [(Tensor(z[:, :d2]), Tensor(z[:, d2:])) for z, _ in batch]
     masks = [m for _, m in batch]
     with eng.no_grad():
-        for g_s, g_t, log_s, b, w in _halves(params):
+        for layer in params.layers:
             pre = []
             for (cond, upd), mask in zip(pairs, masks):
-                s, t = _coupling(cond, mask, g_s, g_t)
+                s, t = _coupling(cond, mask, layer)
                 pre.append(upd * eng.exp(s) + t)
-            _fit_actnorm(log_s, b, np.concatenate([h.data for h in pre], axis=0))
-            pairs = [(_actnorm_fwd(h, log_s, b, w)[0], cond) for h, (cond, _) in zip(pre, pairs)]
+            _fit_actnorm(layer, np.concatenate([h.data for h in pre], axis=0))
+            pairs = [(_actnorm_fwd(h, layer)[0], cond) for h, (cond, _) in zip(pre, pairs)]
     params.initialized = True
 
 
-def _fit_actnorm(log_s: Tensor, b: Tensor, activations: np.ndarray) -> None:
+def _fit_actnorm(layer: Coupling, activations: np.ndarray) -> None:
     std = np.maximum(activations.std(axis=0), 1e-6)
     mean = activations.mean(axis=0)
-    log_s.data = -np.log(std)
-    b.data = -mean / std
+    layer.log_s.data = -np.log(std)
+    layer.b.data = -mean / std
 
 
 def train_flow(

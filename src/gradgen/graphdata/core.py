@@ -77,13 +77,9 @@ class Graph:
 
 @dataclass
 class OrderedLower:
-    """A node permutation plus the lower-triangular rows it induces.
+    """The lower-triangular rows a node ordering induces: ``rows[i]`` holds
+    the earlier-position neighbors of position ``i`` (all indices < i)."""
 
-    ``perm[k]`` is the source node placed at position ``k``; ``rows[i]`` holds
-    the earlier-position neighbors of position ``i`` (all indices < i).
-    """
-
-    perm: list[int]
     rows: list[np.ndarray]
 
     @property
@@ -92,6 +88,7 @@ class OrderedLower:
 
 
 def to_lower(g: Graph, perm) -> OrderedLower:
+    """The rows induced by placing source node ``perm[k]`` at position ``k``."""
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a bijection over the graph's nodes")
@@ -102,7 +99,7 @@ def to_lower(g: Graph, perm) -> OrderedLower:
         if i < j:
             i, j = j, i
         rows[i].append(j)
-    return OrderedLower(perm=perm, rows=[np.array(sorted(r), dtype=np.int64) for r in rows])
+    return OrderedLower(rows=[np.array(sorted(r), dtype=np.int64) for r in rows])
 
 
 def lower_edges(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

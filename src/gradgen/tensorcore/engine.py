@@ -131,34 +131,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
 
     def __mul__(self, other):
         return mul(self, _lift(other))
 
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, Tensor(1.0 / other))
-        raise TypeError("tensor division is only supported by python scalars")
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
 
 
 def _lift(x) -> Tensor:

@@ -279,7 +279,7 @@ def sample_graph_rows(n, codes, params, rng, k=1):
                 rows.append(np.flatnonzero(hits[offset : offset + i]).astype(np.int64))
                 offset += i
             carried = bp.features
-    return reconstruct(OrderedLower(perm=list(range(n)), rows=rows))
+    return reconstruct(OrderedLower(rows=rows))
 
 
 def reconstruct(ol):

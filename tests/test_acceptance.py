@@ -22,7 +22,7 @@ from gradgen.evalstats import degree_stat, graph_stat, lobster_validity, mmd2, o
 from gradgen.flow import flow_forward, flow_inverse, flow_nll, init_flow_params, train_flow
 from gradgen.decoder import LatentStore
 from gradgen.graphdata import Graph, load_graphs, lower_edges, order_nodes, to_lower
-from gradgen.tensorcore import Tensor, grad
+from gradgen.tensorcore import Tensor, grad, tsum
 
 from conftest import assert_grads_match, numerical_grad
 from oracles import brute_force_orbit_counts
@@ -69,19 +69,19 @@ def test_criterion_1_gradient_correctness():
         w = rng.standard_normal((n, 6))
         z0 = rng.standard_normal((n, 6))
         z = Tensor(z0, requires_grad=True)
-        loss = (ga_forward(z, mask, params) * Tensor(w)).sum()
+        loss = tsum(ga_forward(z, mask, params) * Tensor(w))
         leaves = [z] + [t for _, t in params.tensors()]
         got = grad(loss, leaves)
         assert_grads_match(
             got[z],
-            numerical_grad(lambda x: float((ga_forward(Tensor(x), mask, params) * Tensor(w)).sum().data), z0.copy()),
+            numerical_grad(lambda x: float(tsum(ga_forward(Tensor(x), mask, params) * Tensor(w)).data), z0.copy()),
         )
         t = params.wv1
         base = t.data.copy()
 
         def f(x, t=t, base=base):
             t.data = x
-            val = float((ga_forward(Tensor(z0), mask, params) * Tensor(w)).sum().data)
+            val = float(tsum(ga_forward(Tensor(z0), mask, params) * Tensor(w)).data)
             t.data = base
             return val
 
@@ -112,10 +112,8 @@ def test_criterion_1_gradient_correctness():
     # flow NLL wrt codes and parameters
     fcfg = RunConfig(d=4, heads=2, d_s_flow=3, d_s_decoder=4, M=1, R=2, C=2, seed=0).validate()
     flow = init_flow_params(fcfg, np.random.default_rng(400))
-    for _, t in flow.tensors():
-        pass
-    for step in flow.steps:
-        for gq in step.g:
+    for layer in flow.layers:
+        for gq in (layer.g_s, layer.g_t):
             gq.ln2_g.data = np.random.default_rng(401).standard_normal(gq.ln2_g.data.shape) * 0.3
     mask = random_mask(3, 0.8, np.random.default_rng(402))
     z0 = np.random.default_rng(403).standard_normal((3, 4))
@@ -185,8 +183,8 @@ def test_criterion_3_flow_exactness():
                     flow_epochs=100, batch=4, flow_noise=0.0, flow_lr=2e-3, seed=0).validate()
     flow = init_flow_params(cfg, np.random.default_rng(600))
     rng = np.random.default_rng(601)
-    for step in flow.steps:
-        for gq in step.g:
+    for layer in flow.layers:
+        for gq in (layer.g_s, layer.g_t):
             gq.ln2_g.data = rng.standard_normal(gq.ln2_g.data.shape) * 0.4
 
     def check(flow, tag):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -15,7 +16,7 @@ from gradgen import cli
 from gradgen.config import ConfigError, RunConfig, format_config, load_config, parse_config
 from gradgen.decoder import LatentStore, init_decoder_params, train_autodecoder
 from gradgen.evalstats import STATISTICS
-from gradgen.flow import init_flow_params
+from gradgen.flow import init_flow_params, train_flow
 from gradgen.graphdata import atomic_write_text, gen_cycles, load_graphs, order_nodes, save_graphs, to_lower
 from gradgen.tensorcore.optim import AdamState
 
@@ -320,6 +321,33 @@ def test_checkpoint_truncated_payload_is_named(tmp_path):
     cut.write_bytes(good.read_bytes()[:-8])  # the last entry loses its last float
     with pytest.raises(ckpt_io.CheckpointError, match=r"cut\.ckpt: truncated payload: tensor \S+ ends at byte"):
         ckpt_io.load_checkpoint(cut)
+
+
+# sha256 of the JSON-encoded sorted (name, shape) entry list in test_checkpoint_layout_is_pinned
+LAYOUT_SHA256 = "8267c65ebb7fb4775425a0193ffa55415a3dc34695a47f4492c0e82841bd5507"
+
+
+def test_checkpoint_layout_is_pinned(tmp_path):
+    """A renamed, added or dropped tensor breaks ``--resume`` from a checkpoint
+    written before the change, so the entry table of a grad-mode checkpoint
+    with one Adam step on each model is pinned."""
+    cfg = RunConfig(d=8, heads=2, d_s_decoder=4, d_s_flow=4, M=1, R=2, C=3,
+                    decoder_epochs=1, flow_epochs=1, batch=4, seed=1).validate()
+    graphs = sorted(gen_cycles(), key=lambda g: g.n)[:4]
+    ordered = [to_lower(g, order_nodes(g, cfg.ordering)) for g in graphs]
+    decoder_adam, flow_adam = AdamState(), AdamState()
+    dec, store, _ = train_autodecoder(ordered, cfg, adam=decoder_adam)
+    flow, _ = train_flow(store, ordered, cfg, adam=flow_adam)
+    assert decoder_adam.step == flow_adam.step == 1
+    path = tmp_path / "m.ckpt"
+    ckpt_io.save_checkpoint(path, ckpt_io.Checkpoint(
+        config=cfg, decoder=dec, store=store, flow=flow, decoder_adam=decoder_adam, flow_adam=flow_adam,
+        decoder_epochs_done=1, flow_epochs_done=1, train_sizes=[g.n for g in graphs],
+    ))
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    entries = sorted((e["name"], e["shape"]) for e in json.loads(data[16 : 16 + hlen])["entries"])
+    assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() == LAYOUT_SHA256, entries
 
 
 def test_resume_matches_straight_run():

@@ -7,7 +7,6 @@ from gradgen.decoder import LatentStore
 from gradgen.flow import (
     FlowParams,
     _coupling,
-    _halves,
     flow_forward,
     flow_inverse,
     flow_nll,
@@ -38,9 +37,8 @@ def make_flow(cfg=None, seed=0):
 
 def identity_flow(cfg):
     params = init_flow_params(cfg, np.random.default_rng(0))
-    for step in params.steps:
-        for w in (step.w1, step.w2):
-            w.data = np.eye(cfg.d // 2)
+    for layer in params.layers:
+        layer.w.data = np.eye(cfg.d // 2)
     return params
 
 
@@ -70,16 +68,16 @@ def test_actnorm_init_standardizes_every_half_step():
     assert params.initialized
     d2 = cfg.d // 2
     pairs = [(Tensor(z[:, :d2]), Tensor(z[:, d2:])) for z, _ in batch]
-    for g_s, g_t, log_s, b, w in _halves(params):
+    for layer in params.layers:
         normed = []
         for (cond, upd), (_, mask) in zip(pairs, batch):
-            s, t = _coupling(cond, mask, g_s, g_t)
-            normed.append((upd.data * np.exp(s.data) + t.data) * np.exp(log_s.data) + b.data)
+            s, t = _coupling(cond, mask, layer)
+            normed.append((upd.data * np.exp(s.data) + t.data) * np.exp(layer.log_s.data) + layer.b.data)
         h = np.concatenate(normed)  # post-actnorm, pre-mixing, over the batch
         np.testing.assert_allclose(h.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(h.std(axis=0), 1.0, atol=1e-10)
-        pairs = [(Tensor(x @ w.data), cond) for x, (cond, _) in zip(normed, pairs)]
-    # walking the half-steps this way reproduces the forward pass
+        pairs = [(Tensor(x @ layer.w.data), cond) for x, (cond, _) in zip(normed, pairs)]
+    # walking the layers this way reproduces the forward pass
     for (cond, upd), (z, mask) in zip(pairs, batch):
         y = flow_forward(z, mask, params).y.data
         np.testing.assert_allclose(np.concatenate([cond.data, upd.data], axis=1), y, atol=1e-12)
@@ -142,8 +140,8 @@ def test_doubling_one_actnorm_scale_shifts_logdet_by_n_log2():
     mask = random_mask(6, 0.5, 16)
     z = np.random.default_rng(17).standard_normal((6, cfg.d))
     base = float(flow_forward(z, mask, params).logdet.data)
-    params.steps[-1].log_s2.data = params.steps[-1].log_s2.data.copy()
-    params.steps[-1].log_s2.data[1] += np.log(2.0)
+    params.layers[-1].log_s.data = params.layers[-1].log_s.data.copy()
+    params.layers[-1].log_s.data[1] += np.log(2.0)
     shifted = float(flow_forward(z, mask, params).logdet.data)
     assert shifted - base == pytest.approx(6 * np.log(2.0), abs=1e-10)
 
@@ -152,7 +150,7 @@ def test_permutation_matrix_mixing_has_zero_logdet_effect():
     cfg = flow_config()
     params = identity_flow(cfg)
     perm_matrix = np.eye(cfg.d // 2)[[1, 0]]
-    params.steps[0].w1.data = perm_matrix
+    params.layers[0].w.data = perm_matrix
     z = np.random.default_rng(18).standard_normal((4, cfg.d))
     res = flow_forward(z, NeighborMask.complete(4), params)
     assert float(res.logdet.data) == pytest.approx(0.0, abs=1e-12)
@@ -292,7 +290,7 @@ def test_nan_in_a_flow_weight_names_the_primitive():
     rng = np.random.default_rng(36)
     store = LatentStore([np.clip(rng.standard_normal((5, cfg.d)) * 0.5, -1, 1) for _ in range(2)])
     _, params = make_flow(cfg, seed=37)
-    params.steps[0].g[0].wq2.data[0, 0, 0] = np.nan
+    params.layers[0].g_s.wq2.data[0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(
         RuntimeError,
         match=r"flow training diverged at epoch 0, graph \d+: primitive 'linear' \(layer 2 of 'mlp'\)",
@@ -302,6 +300,6 @@ def test_nan_in_a_flow_weight_names_the_primitive():
 
 def test_singular_mixing_matrix_rejected():
     cfg, params = make_flow(seed=35)
-    params.steps[0].w1.data = np.zeros((cfg.d // 2, cfg.d // 2))
+    params.layers[0].w.data = np.zeros((cfg.d // 2, cfg.d // 2))
     with pytest.raises(np.linalg.LinAlgError):
         flow_inverse(np.zeros((3, cfg.d)), NeighborMask.complete(3), params)

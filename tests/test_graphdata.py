@@ -223,7 +223,7 @@ def test_reconstruct_rejects_bad_rows():
     from gradgen.graphdata import OrderedLower
 
     with pytest.raises(ValueError):
-        reconstruct(OrderedLower(perm=[0, 1], rows=[np.array([], dtype=np.int64), np.array([1])]))
+        reconstruct(OrderedLower(rows=[np.array([], dtype=np.int64), np.array([1])]))
 
 
 def test_roundtrip_community_graphs():
