@@ -76,31 +76,30 @@ class Stage(NamedTuple):
     prefix: str  # every artifact name of the stage starts with it
     data: str  # training set
     overrides: dict  # config lines after the seed
-    label: str | None  # eval --dataset label; None trains only
+    evaluates: bool = True  # samples and evaluates after training; False trains only
     validity: bool = False  # eval passes --validity
     extra: tuple = ()  # further (command, inputs, output, options) steps after eval
 
 
 STAGES = {
     # criteria 6, 7 (GrAD-D side), 9, 10
-    "lobster": Stage("lobster", "lobster.g", {}, "lobster", validity=True, extra=(
+    "lobster": Stage("lobster", "lobster.g", {}, validity=True, extra=(
         # criterion 10: per-graph sampling time, 100 graphs, full vs decoder-only
         ("sample", ("lobster.ckpt", 100), "timing_full.g", ("--seed", SEED + 2)),
         ("sample", ("lobster.ckpt", 100), "timing_decoder_only.g", ("--mode", "grad_d", "--seed", SEED + 2)),
         # criterion 9: OOD at fixed N=200
         ("sample", ("lobster.ckpt", 20), "ood_samples.g", ("--fixed-n", 200, "--seed", SEED + 3)),
-        ("eval", ("ood_samples.g", "ood_lobster_ref.g"), "ood_eval.txt",
-         ("--dataset", "lobster-ood", "--algorithm", "grad")),
+        ("eval", ("ood_samples.g", "ood_lobster_ref.g"), "ood_eval.txt", ()),
     )),
     # criterion 5
-    "cycles": Stage("cycles", "cycles.g", {}, "cycles"),
+    "cycles": Stage("cycles", "cycles.g", {}),
     # criterion 6: the 150-decoder-epoch smoke profile
-    "smoke": Stage("smoke", "lobster.g", dict(decoder_epochs=150, flow_epochs=240), "lobster-smoke", validity=True),
+    "smoke": Stage("smoke", "lobster.g", dict(decoder_epochs=150, flow_epochs=240), validity=True),
     # criterion 7: GrAD-R at tripled epochs, training log only
-    "grad_r": Stage("lobster_r", "lobster.g", dict(mode="grad_r"), None),
+    "grad_r": Stage("lobster_r", "lobster.g", dict(mode="grad_r"), evaluates=False),
     # criterion 8: block-size ablation
-    "k2": Stage("lobster_k2", "lobster.g", dict(K=2), "lobster-k2"),
-    "k8": Stage("lobster_k8", "lobster.g", dict(K=8), "lobster-k8"),
+    "k2": Stage("lobster_k2", "lobster.g", dict(K=2)),
+    "k8": Stage("lobster_k8", "lobster.g", dict(K=8)),
 }
 
 
@@ -118,15 +117,13 @@ def run_stage(res: str, stage: Stage, quick: bool) -> None:
     if need(p(done)):
         gradgen("train", p(stage.data), "--config", p(cfg), "--out", p(ckpt), "--resume")
         open(p(done), "w").close()
-    if stage.label is None:
+    if not stage.evaluates:
         return
     test = f"{ckpt}.test.g"
     samples = f"{stage.prefix}_samples.g"
-    validity = ("--validity",) if stage.validity else ()
     steps = (
         ("sample", (ckpt, _count_graphs(p(test))), samples, ()),
-        ("eval", (samples, test), f"{stage.prefix}_eval.txt",
-         (*validity, "--dataset", stage.label, "--algorithm", "grad")),
+        ("eval", (samples, test), f"{stage.prefix}_eval.txt", ("--validity",) if stage.validity else ()),
         *stage.extra,
     )
     for command, inputs, out, options in steps:

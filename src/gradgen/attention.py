@@ -107,7 +107,6 @@ class GaParams:
         for f in self.FIELDS:
             setattr(self, f, tensors[f])
         self.heads = self.wq1.shape[0]
-        self.d_in = self.wq1.shape[1]
         self.d_s = self.wq2.shape[2]
 
     def tensors(self):

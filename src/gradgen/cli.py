@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -112,6 +113,9 @@ def _log_summary(path: str, key: str, value: float) -> None:
         f.write(f"summary,{key},{value:.10g}\n")
 
 
+_LOG_ROW = re.compile(r"(decoder|flow),([0-9]+),|summary,")
+
+
 def _trim_log(path: str, decoder_done: int, flow_done: int) -> bool:
     """Drop the log rows past the checkpointed epochs, so that a resumed run
     appends exactly what an uninterrupted run would have written. Returns
@@ -122,11 +126,14 @@ def _trim_log(path: str, decoder_done: int, flow_done: int) -> bool:
         lines = f.read().splitlines(keepends=True)
     done = {"decoder": decoder_done, "flow": flow_done}
     kept = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if not line.endswith("\n"):
             continue  # cut short by the interruption
-        phase, field = line.split(",", 2)[:2]
-        if phase == "summary" or (phase in done and int(field) < done[phase]):
+        row = _LOG_ROW.match(line)
+        if row is None:
+            raise ConfigError(f"{path}:{number}: malformed log row {line.rstrip()!r}")
+        phase, epoch = row.groups()
+        if phase is None or int(epoch) < done[phase]:
             kept.append(line)
     atomic_write_text(path, "".join(kept))
     return any(line.startswith("summary,") for line in kept)
@@ -262,23 +269,13 @@ def cmd_eval(args) -> None:
     if not samples or not test:
         raise ConfigError("both graph sets must be nonempty")
     scores = mmd_suite(samples, test, sigma=args.sigma, workers=worker_count())
-    rows = [(stat, args.dataset, args.algorithm, scores[stat]) for stat in scores]
-    validity = None
+    lines = ["statistic        score", "-" * 28]
+    lines += [f"{stat:<16} {score:.6g}" for stat, score in scores.items()]
     if args.validity:
         validity = float(np.mean([lobster_validity(g) for g in samples]))
-    lines = ["statistic        score", "-" * 28]
-    for stat, _, _, score in rows:
-        lines.append(f"{stat:<16} {score:.6g}")
-    if validity is not None:
         lines.append(f"{'validity':<16} {validity:.4f}")
     text = "\n".join(lines) + "\n"
     atomic_write_text(args.out, text)
-    csv_lines = ["statistic,dataset,algorithm,score"]
-    for stat, dset, algo, score in rows:
-        csv_lines.append(f"{stat},{dset},{algo},{score:.10g}")
-    if validity is not None:
-        csv_lines.append(f"validity,{args.dataset},{args.algorithm},{validity:.10g}")
-    atomic_write_text(args.out + ".csv", "\n".join(csv_lines) + "\n")
     print(text, end="")
 
 
@@ -322,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True)
     e.add_argument("--sigma", type=float, default=1.0)
     e.add_argument("--validity", action="store_true", help="also report lobster validity fraction")
-    e.add_argument("--dataset", default="dataset")
-    e.add_argument("--algorithm", default="gradgen")
     e.set_defaults(fn=cmd_eval)
 
     c = sub.add_parser("show-config", help="print the effective configuration")

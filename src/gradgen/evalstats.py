@@ -4,6 +4,11 @@ Statistic descriptors follow the protocol used by the sequential-generation
 benchmark lineage: degree / clustering / Laplacian-spectrum histograms with a
 Gaussian kernel over total-variation distance, and a 15-entry mean orbit-count
 vector (connected graphlets on up to 4 nodes) with a Euclidean-distance kernel.
+
+Graphs are walked as per-node neighbour bitmasks. Each node's triangles are
+counted once (``_links``); the clustering coefficients and orbits 0-3 follow
+from them and the degrees in closed form, and an ESU enumeration visits only
+the connected 4-node subgraphs.
 """
 
 from __future__ import annotations
@@ -46,33 +51,25 @@ class StatHistogram:
     bins: np.ndarray
 
 
+def _normalized(kind: str, hist: np.ndarray) -> StatHistogram:
+    hist = hist.astype(np.float64)
+    return StatHistogram(kind, hist / hist.sum())
+
+
 def degree_stat(g: Graph) -> StatHistogram:
     """Normalized histogram of node degrees with integer bins 0..max_degree."""
-    deg = g.degrees()
-    hist = np.bincount(deg).astype(np.float64)
-    return StatHistogram("degree", hist / hist.sum())
+    return _normalized("degree", np.bincount(g.degrees()))
 
 
 def clustering_stat(g: Graph) -> StatHistogram:
     """Local clustering coefficients binned into 100 uniform bins on [0, 1]."""
-    masks = _neighbor_masks(g)
     deg = g.degrees()
+    links = _links(_neighbor_masks(g))
     coeffs = np.zeros(g.n)
-    for v in range(g.n):
-        d = int(deg[v])
-        if d < 2:
-            continue
-        m = masks[v]
-        links = 0
-        rest = m
-        while rest:
-            ubit = rest & -rest
-            rest ^= ubit
-            links += (masks[ubit.bit_length() - 1] & m).bit_count()
-        coeffs[v] = links / (d * (d - 1))  # links double-counted, pairs = d(d-1)/2
+    some = deg >= 2
+    coeffs[some] = links[some] / (deg[some] * (deg[some] - 1))  # links double-counted, pairs = d(d-1)/2
     hist, _ = np.histogram(coeffs, bins=CLUSTERING_BINS, range=(0.0, 1.0))
-    hist = hist.astype(np.float64)
-    return StatHistogram("clustering", hist / hist.sum())
+    return _normalized("clustering", hist)
 
 
 def spectra_stat(g: Graph) -> StatHistogram:
@@ -91,8 +88,7 @@ def spectra_stat(g: Graph) -> StatHistogram:
     # quantize before binning so solver jitter cannot straddle bin edges
     eig = np.clip(np.round(eig, 8), 0.0, 2.0)
     hist, _ = np.histogram(eig, bins=SPECTRA_BINS, range=(0.0, 2.0))
-    hist = hist.astype(np.float64)
-    return StatHistogram("spectra", hist / hist.sum())
+    return _normalized("spectra", hist)
 
 
 def orbit_stat(g: Graph) -> StatHistogram:
@@ -121,26 +117,35 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _links(masks: list[int]) -> np.ndarray:
+    """Per node, the edges among its neighbours counted from both ends, which
+    is twice the node's triangle count."""
+    return np.array([sum((masks[u] & m).bit_count() for u in _bits(m)) for m in masks])
+
+
 def orbit_counts(g: Graph) -> np.ndarray:
-    """Orbit participation counts per node (orbits 0..14, standard numbering)."""
+    """Orbit participation counts per node (orbits 0..14, standard numbering).
+
+    Orbits 0-3 (edge, path end, path middle, triangle) are closed forms of the
+    degrees and triangle counts; the 4-node orbits come from enumeration."""
     n = g.n
     masks = _neighbor_masks(g)
+    deg = g.degrees()
+    links = _links(masks)
     counts = np.zeros((n, ORBITS), dtype=np.float64)
-    counts[:, 0] = g.degrees()
-
-    adj = g.neighbor_lists()
-    for v in range(n):
-        nv = adj[v]
-        for i in range(len(nv)):
-            for j in range(i + 1, len(nv)):
-                u, w = nv[i], nv[j]
-                if masks[u] >> w & 1:
-                    counts[v, 3] += 1.0  # triangle, counted once per middle role
-                else:
-                    counts[v, 2] += 1.0
-                    counts[u, 1] += 1.0
-                    counts[w, 1] += 1.0
-
+    counts[:, 0] = deg
+    # neighbours w != v of each neighbour u, less those adjacent to v (two per triangle)
+    counts[:, 1] = [sum(deg[u] for u in _bits(m)) for m in masks] - deg - links
+    counts[:, 2] = deg * (deg - 1) // 2 - links // 2  # neighbour pairs with no edge between them
+    counts[:, 3] = links // 2
     for quad in _connected_quads(masks, n):
         _classify_quad(quad, masks, counts)
     return counts
@@ -269,34 +274,23 @@ def _graph_stats(g: Graph) -> list[StatHistogram]:
 
 
 def lobster_validity(g: Graph) -> bool:
-    """True iff removing two rounds of leaves leaves a (possibly empty) path."""
-    alive = set(range(g.n))
-    adj = {v: set() for v in alive}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    for _ in range(2):
-        leaves = [v for v in alive if len(adj[v]) == 1]
-        for v in leaves:
-            for w in adj[v]:
-                adj[w].discard(v)
-            adj[v].clear()
-            alive.discard(v)
-    if len(alive) <= 1:
-        return True
-    if any(len(adj[v]) > 2 for v in alive):
+    """True iff ``g`` is a tree and removing two rounds of leaves leaves a
+    (possibly empty) path."""
+    if g.num_edges() != g.n - 1:
         return False
-    ends = [v for v in alive if len(adj[v]) == 1]
-    if len(ends) != 2:
-        return False  # cycles have none; forests of paths have more
-    # must be a single connected path
-    seen = {ends[0]}
-    cur = ends[0]
-    while True:
-        nxt = [w for w in adj[cur] if w not in seen]
-        if not nxt:
-            break
-        cur = nxt[0]
-        seen.add(cur)
-    return len(seen) == len(alive)
+    masks = _neighbor_masks(g)
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= masks[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    if seen != (1 << g.n) - 1:
+        return False  # n - 1 edges but disconnected: a cycle somewhere
+    alive = seen
+    for _ in range(2):
+        alive &= ~sum(1 << v for v in _bits(alive) if (masks[v] & alive).bit_count() == 1)
+    # what is left of a tree is connected, so degrees <= 2 make it a path
+    return all((masks[v] & alive).bit_count() <= 2 for v in _bits(alive))
 

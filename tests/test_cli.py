@@ -416,6 +416,19 @@ def test_resumed_log_matches_straight_run(tmp_path, tiny_data, monkeypatch, phas
     assert text.count(b"summary,") == 1
 
 
+@pytest.mark.parametrize("row", ["decoder0.1", "decoder,zero,0.001,18.5", "codes,1,0.001,18.5"])
+def test_resume_names_a_malformed_log_row(tmp_path, tiny_data, tiny_cfg_file, capsys, row):
+    ckpt = tmp_path / "m.ckpt"
+    args = ["train", tiny_data, "--config", tiny_cfg_file, "--out", str(ckpt)]
+    assert cli.main(args) == 0
+    log = tmp_path / "m.ckpt.log"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines[:2] + [row + "\n"] + lines[2:]))
+    capsys.readouterr()
+    assert cli.main(args + ["--resume"]) == 1
+    assert capsys.readouterr().err == f"error: {log}:3: malformed log row {row!r}\n"
+
+
 def test_parent_format_checkpoint_resumes(tmp_path, tiny_data, monkeypatch):
     # headers written before `seed`, `mode` and `n_latents` were dropped
     def parent_format(h):
@@ -504,11 +517,10 @@ def test_full_pipeline(tmp_path, tiny_data, tiny_cfg_file):
 
     report = tmp_path / "report.txt"
     run_cli("eval", samples, tmp_path / "model.ckpt.test.g", "--out", report, "--validity")
-    text = report.read_text()
-    assert all(k in text for k in ("degree", "clustering", "orbit", "spectra", "validity"))
-    csv = (tmp_path / "report.txt.csv").read_text().strip().splitlines()
-    assert csv[0] == "statistic,dataset,algorithm,score"
-    assert len(csv) == 6  # four statistics + validity
+    lines = report.read_text().splitlines()
+    assert lines[:2] == ["statistic        score", "-" * 28]
+    assert [line.split()[0] for line in lines[2:]] == [*STATISTICS, "validity"]
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("report.txt.")]
 
 
 def test_sample_fixed_n_and_mode_override(tmp_path, tiny_data, tiny_cfg_file):
@@ -589,9 +601,9 @@ def test_train_grad_r_triples_epochs(tmp_path, tiny_data, tiny_cfg_file):
 def test_eval_self_is_zero(tmp_path, tiny_data):
     report = tmp_path / "self.txt"
     run_cli("eval", tiny_data, tiny_data, "--out", report)
-    for line in (tmp_path / "self.txt.csv").read_text().splitlines()[1:]:
-        score = float(line.split(",")[-1])
-        assert score <= 1e-12
+    rows = [line.split() for line in report.read_text().splitlines()[2:]]
+    assert [stat for stat, _ in rows] == list(STATISTICS)
+    assert all(float(score) <= 1e-12 for _, score in rows)
 
 
 @pytest.mark.parametrize("sigma", ["0", "-1"])

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from gradgen.evalstats import (
     orbit_stat,
     spectra_stat,
 )
-from gradgen.graphdata import Graph, gen_lobster
+from gradgen.graphdata import Graph, gen_lobster, load_graphs
 
 from oracles import brute_force_orbit_counts
 
@@ -68,6 +71,19 @@ def test_clustering_path():
     assert h[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_clustering_matches_dense_triangle_oracle(seed):
+    # diag(A^3) counts each triangle through a node twice, once per direction
+    g = random_graph(12, 0.2 + 0.15 * seed, seed)
+    g = Graph(g.n + 3, g.edges)  # three isolated nodes
+    a = g.adjacency().astype(np.int64)
+    deg = a.sum(axis=1)
+    closed = np.diag(a @ a @ a)
+    coeffs = np.where(deg >= 2, closed / np.maximum(deg * (deg - 1), 1), 0.0)
+    hist, _ = np.histogram(coeffs, bins=100, range=(0.0, 1.0))
+    np.testing.assert_array_equal(clustering_stat(g).bins, hist / hist.sum())
+
+
 def test_clustering_k4_minus_edge():
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     # hand count: nodes 0,1 see one missing link among 3 neighbors -> 2/3; 2,3 -> 1
@@ -97,6 +113,22 @@ def test_orbit_k4_clique_orbit():
     counts = orbit_counts(complete(4))
     np.testing.assert_array_equal(counts[:, 14], np.ones(4))
     np.testing.assert_array_equal(counts, brute_force_orbit_counts(complete(4)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(1, []),
+        Graph(5, []),
+        Graph(7, [(0, i) for i in range(1, 7)]),  # the star K1,6
+        complete(5),
+        Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6)]),  # isolated nodes 4 and 7
+        Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5), (5, 6), (6, 7), (5, 8)]),  # two components
+    ],
+    ids=["n1", "edgeless5", "star6", "k5", "isolated", "two-components"],
+)
+def test_orbit_closed_forms_match_brute_force(g):
+    np.testing.assert_array_equal(orbit_counts(g), brute_force_orbit_counts(g))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -245,6 +277,27 @@ def test_mmd_suite_self_is_zero():
         assert v == pytest.approx(0.0, abs=1e-12), kind
 
 
+# Recorded from the committed lobster splits; criteria 5-9 rest on these numbers.
+RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results", "acceptance")
+PINNED_TRAIN_ORBITS_SHA256 = "37463cfe032a5ebb775638f365a9fd52af822d308a000889de200e35faed7bdb"
+PINNED_TEST_VS_OOD = {"degree": 0.0018246619777297912, "clustering": 0.0,
+                      "orbit": 0.12821320403439426, "spectra": 0.042657428825371824}
+
+
+def test_orbit_counts_of_the_committed_train_split_are_pinned():
+    digest = hashlib.sha256()
+    for g in load_graphs(os.path.join(RESULTS, "lobster.ckpt.train.g")):
+        digest.update(orbit_counts(g).tobytes())
+    assert digest.hexdigest() == PINNED_TRAIN_ORBITS_SHA256
+
+
+def test_mmd_suite_on_the_committed_splits_is_pinned():
+    scores = mmd_suite(load_graphs(os.path.join(RESULTS, "lobster.ckpt.test.g")),
+                       load_graphs(os.path.join(RESULTS, "ood_lobster_ref.g")))
+    assert list(scores) == list(PINNED_TEST_VS_OOD)
+    np.testing.assert_allclose(list(scores.values()), list(PINNED_TEST_VS_OOD.values()), rtol=1e-12, atol=0)
+
+
 def test_mmd_suite_worker_pool_matches_serial():
     samples = gen_lobster(count=3, seed=4)
     reference = gen_lobster(count=4, seed=5)
@@ -280,9 +333,23 @@ def test_validity_star_collapses_to_single_node():
 
 
 def test_validity_empty_remainder_counts_as_path():
-    # two short disjoint paths vanish after two prunes; empty remainder passes
-    g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    assert lobster_validity(g)
+    # a double star (hubs 0 and 1, two leaves each) vanishes after two prunes
+    assert lobster_validity(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]))
+    assert lobster_validity(path(4))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]),  # two short paths
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(3, [(0, 1)]),  # an isolated node
+        Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),  # n - 1 edges, a triangle apart from a path
+    ],
+    ids=["two-paths", "two-edges", "isolated", "cycle-plus-path"],
+)
+def test_validity_requires_a_tree(g):
+    assert not lobster_validity(g)
 
 
 def test_validity_two_long_disjoint_paths_fail():

@@ -23,32 +23,32 @@ DATA = [
 LOBSTER = [
     "train lobster.g --config lobster.cfg --out lobster.ckpt --resume",
     "sample lobster.ckpt 3 --out lobster_samples.g",
-    "eval lobster_samples.g lobster.ckpt.test.g --out lobster_eval.txt --validity --dataset lobster --algorithm grad",
+    "eval lobster_samples.g lobster.ckpt.test.g --out lobster_eval.txt --validity",
     "sample lobster.ckpt 100 --out timing_full.g --seed 9",
     "sample lobster.ckpt 100 --out timing_decoder_only.g --mode grad_d --seed 9",
     "sample lobster.ckpt 20 --out ood_samples.g --fixed-n 200 --seed 10",
-    "eval ood_samples.g ood_lobster_ref.g --out ood_eval.txt --dataset lobster-ood --algorithm grad",
+    "eval ood_samples.g ood_lobster_ref.g --out ood_eval.txt",
 ]
 CYCLES = [
     "train cycles.g --config cycles.cfg --out cycles.ckpt --resume",
     "sample cycles.ckpt 3 --out cycles_samples.g",
-    "eval cycles_samples.g cycles.ckpt.test.g --out cycles_eval.txt --dataset cycles --algorithm grad",
+    "eval cycles_samples.g cycles.ckpt.test.g --out cycles_eval.txt",
 ]
 SMOKE = [
     "train lobster.g --config smoke.cfg --out smoke.ckpt --resume",
     "sample smoke.ckpt 3 --out smoke_samples.g",
-    "eval smoke_samples.g smoke.ckpt.test.g --out smoke_eval.txt --validity --dataset lobster-smoke --algorithm grad",
+    "eval smoke_samples.g smoke.ckpt.test.g --out smoke_eval.txt --validity",
 ]
 GRAD_R = ["train lobster.g --config lobster_r.cfg --out lobster_r.ckpt --resume"]
 K2 = [
     "train lobster.g --config lobster_k2.cfg --out lobster_k2.ckpt --resume",
     "sample lobster_k2.ckpt 3 --out lobster_k2_samples.g",
-    "eval lobster_k2_samples.g lobster_k2.ckpt.test.g --out lobster_k2_eval.txt --dataset lobster-k2 --algorithm grad",
+    "eval lobster_k2_samples.g lobster_k2.ckpt.test.g --out lobster_k2_eval.txt",
 ]
 K8 = [
     "train lobster.g --config lobster_k8.cfg --out lobster_k8.ckpt --resume",
     "sample lobster_k8.ckpt 3 --out lobster_k8_samples.g",
-    "eval lobster_k8_samples.g lobster_k8.ckpt.test.g --out lobster_k8_eval.txt --dataset lobster-k8 --algorithm grad",
+    "eval lobster_k8_samples.g lobster_k8.ckpt.test.g --out lobster_k8_eval.txt",
 ]
 ALL = DATA + LOBSTER + CYCLES + SMOKE + GRAD_R + K2 + K8
 
