@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -100,80 +101,88 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(raw.decode("utf-8"))
         except ValueError as e:
             raise CheckpointError(f"{path}: truncated or corrupt header ({e})") from e
-        payload = f.read()
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+        # the payload's length is the file's; each tensor is read straight
+        # into its own array, so a load holds one copy of the tensors
+        base = f.tell()
+        payload_len = os.fstat(f.fileno()).st_size - base
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
 
-    def field(key: str):
-        if key not in header:
-            raise CheckpointError(f"{path}: header has no '{key}'")
-        check, want = HEADER_FIELDS[key]
-        if not check(header[key]):
-            raise CheckpointError(f"{path}: header field '{key}' must be {want}, got {header[key]!r}")
-        return header[key]
+        def field(key: str):
+            if key not in header:
+                raise CheckpointError(f"{path}: header has no '{key}'")
+            check, want = HEADER_FIELDS[key]
+            if not check(header[key]):
+                raise CheckpointError(f"{path}: header field '{key}' must be {want}, got {header[key]!r}")
+            return header[key]
 
-    def read_entry(i: int, entry) -> tuple[str, tuple[tuple[int, ...], int]]:
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"{path}: entry {i} is a JSON {type(entry).__name__}, not an object")
-        for key in ("name", "shape", "offset"):
-            if key not in entry:
-                raise CheckpointError(f"{path}: entry {i} has no '{key}'")
-        name, shape, start = entry["name"], entry["shape"], entry["offset"]
-        counts = isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)
-        if not (isinstance(name, str) and counts):
-            raise CheckpointError(
-                f"{path}: entry {i} needs a string name and non-negative integer shape and offset, got {entry!r}"
-            )
-        end = start + 8 * math.prod(shape)
-        if end > len(payload):
-            raise CheckpointError(
-                f"{path}: truncated payload: tensor {name} ends at byte {end}, payload has {len(payload)}"
-            )
-        return name, (tuple(shape), start)
+        def read_entry(i: int, entry) -> tuple[str, tuple[tuple[int, ...], int]]:
+            if not isinstance(entry, dict):
+                raise CheckpointError(f"{path}: entry {i} is a JSON {type(entry).__name__}, not an object")
+            for key in ("name", "shape", "offset"):
+                if key not in entry:
+                    raise CheckpointError(f"{path}: entry {i} has no '{key}'")
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
+            counts = isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(start)
+            if not (isinstance(name, str) and counts):
+                raise CheckpointError(
+                    f"{path}: entry {i} needs a string name and non-negative integer shape and offset, got {entry!r}"
+                )
+            end = start + 8 * math.prod(shape)
+            if end > payload_len:
+                raise CheckpointError(
+                    f"{path}: truncated payload: tensor {name} ends at byte {end}, payload has {payload_len}"
+                )
+            return name, (tuple(shape), start)
 
-    table = dict(read_entry(i, e) for i, e in enumerate(field("entries")))
+        table = dict(read_entry(i, e) for i, e in enumerate(field("entries")))
 
-    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in table:
-            raise CheckpointError(f"{path}: missing tensor {name}")
-        stored, start = table[name]
-        if stored != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {stored}, expected {shape} (config/schema mismatch)"
-            )
-        return np.frombuffer(payload, "<f8", math.prod(shape), start).reshape(shape).astype(np.float64)
+        def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            if name not in table:
+                raise CheckpointError(f"{path}: missing tensor {name}")
+            stored, start = table[name]
+            if stored != shape:
+                raise CheckpointError(
+                    f"{path}: tensor {name} has shape {stored}, expected {shape} (config/schema mismatch)"
+                )
+            arr = np.empty(shape, "<f8")
+            f.seek(base + start)
+            got = f.readinto(arr)
+            if got != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated payload: tensor {name} read {got} of {arr.nbytes} bytes")
+            return arr.astype(np.float64, copy=False)
 
-    try:
-        cfg = RunConfig(**field("config")).validate()
-    except (TypeError, ConfigError) as e:
-        raise CheckpointError(f"{path}: bad config ({e})") from e
-    sizes = field("train_sizes")
-    initialized = field("flow_initialized")
-    flow = None
-    if field("has_flow"):
-        flow = init_flow_params(cfg, np.random.default_rng(0))
-        flow.initialized = initialized
-    ckpt = Checkpoint(
-        config=cfg,
-        decoder=init_decoder_params(cfg, np.random.default_rng(0)),
-        store=LatentStore([tensor(f"latent/{i}", (n, cfg.d)) for i, n in enumerate(sizes)]),
-        flow=flow,
-        decoder_adam=AdamState(step=field("decoder_adam_step")),
-        flow_adam=AdamState(step=field("flow_adam_step")),
-        decoder_epochs_done=field("decoder_epochs_done"),
-        flow_epochs_done=field("flow_epochs_done"),
-        train_sizes=list(sizes),
-    )
-    if flow is None and ckpt.flow_adam.step > 0:
-        raise CheckpointError(f"{path}: 'flow_adam_step' is {ckpt.flow_adam.step} but the checkpoint has no flow")
-    # adam_step creates both moments of every parameter on its first step
-    for key, params, adam in (("decoder", ckpt.decoder, ckpt.decoder_adam), ("flow", flow, ckpt.flow_adam)):
-        for name, t in params.tensors() if params is not None else ():
-            t.data = tensor(f"{key}/{name}", t.data.shape)
-            if adam.step > 0:
-                adam.m[name] = tensor(f"adam-m/{key}/{name}", t.data.shape)
-                adam.v[name] = tensor(f"adam-v/{key}/{name}", t.data.shape)
-    return ckpt
+        try:
+            cfg = RunConfig(**field("config")).validate()
+        except (TypeError, ConfigError) as e:
+            raise CheckpointError(f"{path}: bad config ({e})") from e
+        sizes = field("train_sizes")
+        initialized = field("flow_initialized")
+        flow = None
+        if field("has_flow"):
+            flow = init_flow_params(cfg, np.random.default_rng(0))
+            flow.initialized = initialized
+        ckpt = Checkpoint(
+            config=cfg,
+            decoder=init_decoder_params(cfg, np.random.default_rng(0)),
+            store=LatentStore([tensor(f"latent/{i}", (n, cfg.d)) for i, n in enumerate(sizes)]),
+            flow=flow,
+            decoder_adam=AdamState(step=field("decoder_adam_step")),
+            flow_adam=AdamState(step=field("flow_adam_step")),
+            decoder_epochs_done=field("decoder_epochs_done"),
+            flow_epochs_done=field("flow_epochs_done"),
+            train_sizes=list(sizes),
+        )
+        if flow is None and ckpt.flow_adam.step > 0:
+            raise CheckpointError(f"{path}: 'flow_adam_step' is {ckpt.flow_adam.step} but the checkpoint has no flow")
+        # adam_step creates both moments of every parameter on its first step
+        for key, params, adam in (("decoder", ckpt.decoder, ckpt.decoder_adam), ("flow", flow, ckpt.flow_adam)):
+            for name, t in params.tensors() if params is not None else ():
+                t.data = tensor(f"{key}/{name}", t.data.shape)
+                if adam.step > 0:
+                    adam.m[name] = tensor(f"adam-m/{key}/{name}", t.data.shape)
+                    adam.v[name] = tensor(f"adam-v/{key}/{name}", t.data.shape)
+        return ckpt
 
 
 def _is_count(value) -> bool:

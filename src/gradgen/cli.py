@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import re
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -231,6 +232,7 @@ def cmd_sample(args) -> None:
         "mean_seconds_per_graph": float(np.mean(times)),
         "total_seconds": float(np.sum(times)),
         "per_graph": rows,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # Linux reports KiB
     }
     atomic_write_text(args.out + ".timing", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"sampled {len(graphs)} graphs -> {args.out} ({report['mean_seconds_per_graph']:.3f}s per graph)")

@@ -26,9 +26,11 @@ from .tensorcore.optim import AdamState, lr_schedule, sgd_project_step, train_ep
 # and block heads. On batches of 20 lobsters (n <= 100) peak RSS was 442 MiB
 # without recomputation, and 199, 210 and 245 MiB from m >= 40, 50 and 60 with
 # the GA stack alone recomputed; 50 to 60 cost ~10% in throughput. Recomputing
-# the heads too took perfbench's train_lobster from 161 to 148 MiB and one
-# 400-node grid's forward and backward from 482 to 211 MiB, at the same speed
-# (2-core host, one BLAS thread).
+# the heads too took one 400-node grid's forward and backward from 482 to
+# 211 MiB, and perfbench's train_lobster from 161 to 148 MiB, at the same speed
+# (2-core host, one BLAS thread). Both train_lobster figures were the first
+# set-up's decoder warm-up tape plus ~17 MiB from a checkpoint load that held
+# the payload twice; with one copy, that tape alone sets the peak, at ~130 MiB.
 CHECKPOINT_MIN_M = 50
 
 __all__ = [

@@ -108,6 +108,7 @@ def train_epochs(
                 losses.append(loss)
                 for name, t in params.items():
                     mean[name] += grads[t]
+                del grads  # not kept alive through the next graph's forward and backward pass
             for name in mean:
                 mean[name] /= len(batch)
             adam_step(params, mean, adam, lr)

@@ -7,6 +7,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -147,22 +149,27 @@ def test_config_comments_and_blank_lines(tmp_path):
 # -- checkpoint -----------------------------------------------------------
 
 
+def random_adam(params, rng) -> AdamState:
+    """Adam moments of random values for every tensor of ``params``, at step 17."""
+    adam = AdamState(step=17)
+    for name, t in params.tensors():
+        adam.m[name] = rng.standard_normal(t.data.shape)
+        adam.v[name] = np.abs(rng.standard_normal(t.data.shape))
+    return adam
+
+
 def small_checkpoint(with_flow=True, seed=3):
     cfg = RunConfig(d=8, heads=2, d_s_decoder=4, d_s_flow=4, M=1, R=2, C=3, seed=seed).validate()
     rng = np.random.default_rng(seed)
     dec = init_decoder_params(cfg, rng)
     store = LatentStore([rng.uniform(-1, 1, size=(n, cfg.d)) for n in (4, 6)])
     flow = init_flow_params(cfg, rng) if with_flow else None
-    adam = AdamState(step=17)
-    for name, t in dec.tensors():
-        adam.m[name] = rng.standard_normal(t.data.shape)
-        adam.v[name] = np.abs(rng.standard_normal(t.data.shape))
     return ckpt_io.Checkpoint(
         config=cfg,
         decoder=dec,
         store=store,
         flow=flow,
-        decoder_adam=adam,
+        decoder_adam=random_adam(dec, rng),
         decoder_epochs_done=9,
         flow_epochs_done=4,
         train_sizes=[4, 6],
@@ -192,6 +199,36 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path2 = tmp_path / "m2.ckpt"
     ckpt_io.save_checkpoint(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_load_holds_one_copy_of_the_tensors(tmp_path):
+    """At the paper config, with the flow and both Adam states, one load's
+    traced allocation peak stays near the tensor bytes: each tensor is read
+    into its own array, with no payload-sized buffer and no second copy."""
+    cfg = RunConfig(seed=3).validate()
+    rng = np.random.default_rng(3)
+    dec, flow = init_decoder_params(cfg, rng), init_flow_params(cfg, rng)
+    sizes = [40, 60]
+    ckpt = ckpt_io.Checkpoint(
+        config=cfg, decoder=dec, store=LatentStore([rng.uniform(-1, 1, size=(n, cfg.d)) for n in sizes]),
+        flow=flow, decoder_adam=random_adam(dec, rng), flow_adam=random_adam(flow, rng), train_sizes=sizes,
+    )
+    path = tmp_path / "paper.ckpt"
+    ckpt_io.save_checkpoint(path, ckpt)
+    saved = ckpt.named_tensors()
+    nbytes = sum(arr.nbytes for arr in saved.values())
+    tracemalloc.start()
+    try:
+        back = ckpt_io.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * nbytes, f"load peaked at {peak / nbytes:.2f}x the {nbytes} tensor bytes"
+    loaded = back.named_tensors()
+    assert loaded.keys() == saved.keys()
+    for name, arr in loaded.items():
+        assert arr.flags.owndata and arr.flags.c_contiguous and arr.flags.writeable, name
+        assert arr.dtype == np.float64 and arr.tobytes() == saved[name].tobytes(), name
 
 
 def test_checkpoint_without_flow(tmp_path):
@@ -314,12 +351,23 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, tiny_data, ca
     assert ckpt_io.load_checkpoint(bad).train_sizes == [4, 6]
 
 
-def test_checkpoint_truncated_payload_is_named(tmp_path):
+def test_checkpoint_truncated_payload_is_named(tmp_path, monkeypatch):
     good = tmp_path / "m.ckpt"
     ckpt_io.save_checkpoint(good, small_checkpoint())
+    data = good.read_bytes()
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    names = [e["name"] for e in sorted(json.loads(data[16 : 16 + hlen])["entries"], key=lambda e: e["offset"])]
     cut = tmp_path / "cut.ckpt"
-    cut.write_bytes(good.read_bytes()[:-8])  # the last entry loses its last float
-    with pytest.raises(ckpt_io.CheckpointError, match=r"cut\.ckpt: truncated payload: tensor \S+ ends at byte"):
+    # the first tensor keeps only its first float; the last one loses its last float
+    for size, name in ((16 + hlen + 8, names[0]), (len(data) - 8, names[-1])):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ckpt_io.CheckpointError,
+                           match=rf"cut\.ckpt: truncated payload: tensor {re.escape(name)} ends at byte"):
+            ckpt_io.load_checkpoint(cut)
+    # a file that shrinks after its size was read: the short read names the tensor
+    short = rf"cut\.ckpt: truncated payload: tensor {re.escape(names[-1])} read \d+ of \d+ bytes"
+    with monkeypatch.context() as m, pytest.raises(ckpt_io.CheckpointError, match=short):
+        m.setattr(ckpt_io.os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(data)))
         ckpt_io.load_checkpoint(cut)
 
 
@@ -509,7 +557,7 @@ def test_full_pipeline(tmp_path, tiny_data, tiny_cfg_file):
     gs = load_graphs(samples)
     assert len(gs) == 4
     timing = json.loads((tmp_path / "samples.g.timing").read_text())
-    assert timing["mean_seconds_per_graph"] > 0
+    assert timing["mean_seconds_per_graph"] > 0 and timing["peak_rss_mb"] > 0
     rows = timing["per_graph"]
     assert [r["n"] for r in rows] == [g.n for g in gs]
     assert all(r["flow_s"] > 0 and r["decoder_s"] > 0 for r in rows)
