@@ -165,6 +165,6 @@ def ga_forward(z: Tensor, mask: NeighborMask, params: GaParams) -> Tensor:
         mixed = eng.edge_attention(q, k, v, mask.rows, mask.cols, scale)
     # mixed: (m, H * d_s), zero rows where no neighbors
     delta = eng.matmul(mixed, params.wp)
-    normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b)
+    normed = eng.layer_norm(z, delta, params.ln1_g, params.ln1_b)
     ff = eng.mlp(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
-    return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b)
+    return eng.layer_norm(normed, ff, params.ln2_g, params.ln2_b)

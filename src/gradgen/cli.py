@@ -26,6 +26,8 @@ from .evalstats import lobster_validity, mmd_suite
 from .flow import sample_codes, train_flow
 from .graphdata import (
     ORDERINGS,
+    DatasetSplit,
+    OrderedLower,
     SizeDistribution,
     gen_community,
     gen_cycles,
@@ -97,6 +99,11 @@ def _build_config(args) -> RunConfig:
     return cfg.validate()
 
 
+def log_row(phase: str, epoch: int, lr: float, nll: float) -> str:
+    """One epoch's row of the training log."""
+    return f"{phase},{epoch},{lr:.10g},{nll:.10g}\n"
+
+
 class _EpochLog:
     def __init__(self, path: str, phase: str):
         self.path = path
@@ -104,7 +111,7 @@ class _EpochLog:
 
     def __call__(self, epoch: int, lr: float, nll: float) -> None:
         with open(self.path, "a", encoding="utf-8") as f:
-            f.write(f"{self.phase},{epoch},{lr:.10g},{nll:.10g}\n")
+            f.write(log_row(self.phase, epoch, lr, nll))
         if epoch % 10 == 0:
             print(f"[{self.phase}] epoch {epoch}: lr {lr:.3g}, nll {nll:.5g}", flush=True)
 
@@ -140,16 +147,22 @@ def _trim_log(path: str, decoder_done: int, flow_done: int) -> bool:
     return any(line.startswith("summary,") for line in kept)
 
 
+def training_split(cfg: RunConfig, data: str) -> tuple[DatasetSplit, list[OrderedLower]]:
+    """The train/test split of the graphs in ``data`` and the training graphs
+    in their training order, as ``train`` builds them."""
+    graphs = load_graphs(data)
+    if not graphs:
+        raise ConfigError(f"{data}: no graphs")
+    ds = split(graphs, cfg.seed)
+    return ds, [to_lower(g, order_nodes(g, cfg.ordering)) for g in ds.train]
+
+
 def cmd_train(args) -> None:
     gc.set_threshold(*GC_THRESHOLD)
     cfg = _build_config(args)
-    graphs = load_graphs(args.data)
-    if not graphs:
-        raise ConfigError(f"{args.data}: no graphs")
-    ds = split(graphs, cfg.seed)
+    ds, train_ordered = training_split(cfg, args.data)
     save_graphs(args.out + ".train.g", ds.train, comment="train split")
     save_graphs(args.out + ".test.g", ds.test, comment="test split")
-    train_ordered = [to_lower(g, order_nodes(g, cfg.ordering)) for g in ds.train]
     sizes = [g.n for g in ds.train]
     log_path = args.out + ".log"
 

@@ -30,12 +30,11 @@ __all__ = [
     "gather_rows",
     "tanh",
     "exp",
-    "logsigmoid",
     "tsum",
-    "logsumexp",
     "dense_attention",
     "edge_attention",
     "layer_norm",
+    "bernoulli_mixture_log_prob",
     "logabsdet",
     "stable_sigmoid",
     "checkpoint",
@@ -342,17 +341,6 @@ def exp(a: Tensor) -> Tensor:
     return _make("exp", data, (a,), bwd)
 
 
-def logsigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)), stable for large |x|."""
-    data = -np.logaddexp(0.0, -a.data)
-
-    def bwd(g):
-        # d/dx log(sigmoid(x)) = 1 - sigmoid(x) = 1 - exp(logsigmoid(x))
-        return (g * (1.0 - np.exp(data)),)
-
-    return _make("logsigmoid", data, (a,), bwd)
-
-
 # -- reductions ----------------------------------------------------------
 
 
@@ -365,24 +353,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make("sum", data, (a,), bwd)
-
-
-def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
-    x = a.data
-    m = x.max(axis=axis, keepdims=True) if x.size else np.zeros((1,) * x.ndim)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(x - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = np.log(s) + m
-    soft = e / s
-    out = out.squeeze() if axis is None else out.squeeze(axis=axis)
-
-    def bwd(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (g * soft,)
-
-    return _make("logsumexp", out, (a,), bwd)
 
 
 # -- attention -----------------------------------------------------------
@@ -500,28 +470,71 @@ def _edge_dots(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray)
     return np.einsum("hed,hed->he", np.take(a, rows, axis=1), np.take(b, cols, axis=1))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance (1e-5 is
-    added to the variance), then affine."""
-    d = x.data.shape[-1]  # means as sum / d: ndarray.mean's own formula
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the residual sum x + r over the last axis to zero mean and
+    unit variance (1e-5 is added to the variance), then affine. The sum is
+    formed inside the node and not kept; both summands get its gradient."""
+    y = x.data + r.data  # centred, then scaled, in place
+    d = y.shape[-1]  # means as sum / d: ndarray.mean's own formula
+    y -= y.sum(axis=-1, keepdims=True) / d
+    var = (y * y).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
-    y = xc * inv
+    y *= inv
     data = y * gain.data + bias.data
 
     def bwd(g):
         ggain = _unbroadcast(g * y, gain.data.shape) if gain.requires_grad else None
         gbias = _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
-        if not x.requires_grad:
-            return None, ggain, gbias
+        if not (x.requires_grad or r.requires_grad):
+            return None, None, ggain, gbias
         gh = g * gain.data
         ghy = (gh * y).sum(axis=-1, keepdims=True) / d
         gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d - y * ghy)
-        return gx, ggain, gbias
+        return _unbroadcast(gx, x.data.shape), _unbroadcast(gx, r.data.shape), ggain, gbias
 
-    return _make("layer_norm", data, (x, gain, bias), bwd)
+    return _make("layer_norm", data, (x, r, gain, bias), bwd)
+
+
+def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(sum(exp(x))) of a nonempty vector, as shape (1,), and softmax(x)."""
+    m = x.max(keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(x - m)
+    s = e.sum(keepdims=True)
+    return np.log(s) + m, e / s
+
+
+def bernoulli_mixture_log_prob(pi_logits: Tensor, lam_logits: Tensor, observed: np.ndarray) -> Tensor:
+    """log sum_c softmax(pi)_c prod_p Bernoulli(observed_p; sigmoid(lam_pc)).
+
+    ``pi_logits`` is (C,), ``lam_logits`` (P, C) and ``observed`` holds P
+    bits. A pair's log-likelihood is log sigmoid(sign * lam) with sign = +1
+    for a set bit and -1 otherwise, the value of the chain
+    eps * logsigmoid(lam) + (1 - eps) * logsigmoid(-lam) for a 0/1 eps. The
+    node keeps those (P, C) values, the bits and two softmaxes over the
+    components, and its backward pass associates as that chain does.
+    """
+    bits = np.asarray(observed, dtype=bool)
+    lse_pi, soft_pi = _logsumexp(pi_logits.data)
+    ls = np.logaddexp(0.0, lam_logits.data * np.where(bits, -1.0, 1.0)[:, None])
+    np.negative(ls, out=ls)
+    lse, r = _logsumexp(pi_logits.data - lse_pi + ls.sum(axis=0))
+
+    def bwd(g):
+        a = g * r
+        gpi = a + (-a.sum()) * soft_pi if pi_logits.requires_grad else None
+        if not lam_logits.requires_grad:
+            return gpi, None
+        glam = a * np.where(bits, 1.0, -1.0)[:, None]
+        t = np.exp(ls)
+        np.subtract(1.0, t, out=t)
+        glam *= t
+        # in the chain each entry also receives the other sign's term, a zero
+        # of the opposite sign: adding +0.0 gives the same bits, -0.0 -> +0.0
+        glam += 0.0
+        return gpi, glam
+
+    return _make("bernoulli_mixture_log_prob", lse.reshape(()), (pi_logits, lam_logits), bwd)
 
 
 def logabsdet(a: Tensor) -> Tensor:

@@ -107,8 +107,9 @@ def brute_force_orbit_counts(g) -> np.ndarray:
 
 # -- the unfused reference chain ------------------------------------------------
 # Engine nodes that the library no longer has: the fused ``engine.mlp``,
-# ``engine.dense_attention`` and ``engine.edge_attention`` are held to chains
-# of these. Each records its own node through the engine's ``_make``.
+# ``engine.dense_attention``, ``engine.edge_attention``, ``engine.layer_norm``
+# and ``engine.bernoulli_mixture_log_prob`` are held to chains of these. Each
+# records its own node through the engine's ``_make``.
 
 
 def relu(a):
@@ -184,6 +185,100 @@ def masked_softmax(logits, mask):
     return eng._make("masked_softmax", out, (logits,), bwd)
 
 
+def logsigmoid(a):
+    """log(sigmoid(x)), stable for large |x|."""
+    from gradgen.tensorcore import engine as eng
+
+    data = -np.logaddexp(0.0, -a.data)
+
+    def bwd(g):
+        # d/dx log(sigmoid(x)) = 1 - sigmoid(x) = 1 - exp(logsigmoid(x))
+        return (g * (1.0 - np.exp(data)),)
+
+    return eng._make("logsigmoid", data, (a,), bwd)
+
+
+def logsumexp(a, axis=None):
+    from gradgen.tensorcore import engine as eng
+
+    x = a.data
+    m = x.max(axis=axis, keepdims=True) if x.size else np.zeros((1,) * x.ndim)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+    out = np.log(s) + m
+    soft = e / s
+    out = out.squeeze() if axis is None else out.squeeze(axis=axis)
+
+    def bwd(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (g * soft,)
+
+    return eng._make("logsumexp", out, (a,), bwd)
+
+
+def layer_norm(x, gain, bias):
+    """Layer norm of one input, whose residual sum is its own ``add`` node."""
+    from gradgen.tensorcore import engine as eng
+
+    d = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    y = xc * inv
+    data = y * gain.data + bias.data
+
+    def bwd(g):
+        ggain = eng._unbroadcast(g * y, gain.data.shape) if gain.requires_grad else None
+        gbias = eng._unbroadcast(g, bias.data.shape) if bias.requires_grad else None
+        if not x.requires_grad:
+            return None, ggain, gbias
+        gh = g * gain.data
+        ghy = (gh * y).sum(axis=-1, keepdims=True) / d
+        gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d - y * ghy)
+        return gx, ggain, gbias
+
+    return eng._make("layer_norm", data, (x, gain, bias), bwd)
+
+
+def mixture_log_prob_chain(pi_logits, lam_logits, observed):
+    """The block mixture's log-likelihood as an 11-node chain over the 0/1
+    ``observed`` vector: the reference for
+    ``engine.bernoulli_mixture_log_prob``."""
+    from gradgen.tensorcore import engine as eng
+
+    log_pi = pi_logits - logsumexp(pi_logits)
+    eps_col = eng.Tensor(np.asarray(observed, dtype=np.float64)[:, None])
+    per_pair = eps_col * logsigmoid(lam_logits) + (eng.Tensor(1.0) - eps_col) * logsigmoid(-lam_logits)
+    return logsumexp(log_pi + eng.tsum(per_pair, axis=0))
+
+
+def block_log_prob_chain(observed, bp):
+    """``decoder.block_log_prob`` through the reference chain."""
+    return mixture_log_prob_chain(bp.pi_logits, bp.lam_logits, observed)
+
+
+def ga_forward_chain(z, mask, params):
+    """``attention.ga_forward`` with each residual sum an ``add`` node ahead
+    of a one-input layer norm: the reference for ``engine.layer_norm``."""
+    from gradgen.attention import DENSE_FILL
+    from gradgen.tensorcore import engine as eng
+
+    q = eng.mlp(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
+    k = eng.mlp(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
+    v = eng.mlp(z, [(params.wv1, params.bv1), (params.wv2, params.bv2)])
+    scale = params.d_s**-0.5
+    if mask.fill > DENSE_FILL:
+        mixed = eng.dense_attention(q, k, v, mask.matrix, scale)
+    else:
+        mixed = eng.edge_attention(q, k, v, mask.rows, mask.cols, scale)
+    normed = layer_norm(z + eng.matmul(mixed, params.wp), params.ln1_g, params.ln1_b)
+    ff = eng.mlp(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
+    return layer_norm(normed + ff, params.ln2_g, params.ln2_b)
+
+
 def transpose(a, axes):
     from gradgen.tensorcore import engine as eng
 
@@ -219,17 +314,16 @@ def dense_attention_chain(q, k, v, matrix, scale):
 
 def dense_ga_forward(z, matrix, params):
     """One GA layer with dense (H, m, m) masked attention over the boolean
-    neighborhood ``matrix`` and unfused perceptrons: the reference for the
-    edge-list kernel, ``engine.dense_attention`` and ``engine.mlp``."""
-    from gradgen.tensorcore import engine as eng
-
+    neighborhood ``matrix``, unfused perceptrons and unfused residual layer
+    norms: the reference for the edge-list kernel, ``engine.dense_attention``,
+    ``engine.mlp`` and ``engine.layer_norm``."""
     q = mlp_chain(z, [(params.wq1, params.bq1), (params.wq2, params.bq2)])
     k = mlp_chain(z, [(params.wk1, params.bk1), (params.wk2, params.bk2)])
     v = mlp_chain(z, [(params.wv1, params.bv1), (params.wv2, params.bv2)])
     delta = linear(dense_attention_chain(q, k, v, matrix, params.d_s**-0.5), params.wp)
-    normed = eng.layer_norm(z + delta, params.ln1_g, params.ln1_b)
+    normed = layer_norm(z + delta, params.ln1_g, params.ln1_b)
     ff = mlp_chain(normed, [(params.ww1, params.bw1), (params.ww2, params.bw2)])
-    return eng.layer_norm(normed + ff, params.ln2_g, params.ln2_b)
+    return layer_norm(normed + ff, params.ln2_g, params.ln2_b)
 
 
 def dense_scaffold(rows, n_prev, k):

@@ -611,6 +611,33 @@ def test_peek_checkpoint_prints_the_four_statistics(tmp_path, tiny_data, tiny_cf
     assert all(np.isfinite(v) and v >= 0.0 for v in scores.values())
 
 
+def test_replay_log_matches_a_fresh_log_and_names_an_edited_row(tmp_path, tiny_data, tiny_cfg_file, capsys):
+    ckpt = tmp_path / "r.ckpt"
+    run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt)
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "replay_log.py")
+    spec = importlib.util.spec_from_file_location("replay_log", script)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    log = tmp_path / "r.ckpt.log"
+    args = [tiny_cfg_file, tiny_data, str(log), "--epochs", "2"]
+    assert replay.main(args) == 0
+    assert "decoder epochs 0..1 match" in capsys.readouterr().out
+
+    lines = log.read_text().splitlines(keepends=True)
+    assert lines[1].startswith("decoder,1,")
+    nll = lines[1].rstrip().rsplit(",", 1)[1]
+    digit = next(i for i in range(len(nll) - 1, -1, -1) if nll[i].isdigit())
+    lines[1] = lines[1][: -len(nll) - 1] + nll[:digit] + str((int(nll[digit]) + 1) % 10) + nll[digit + 1 :] + "\n"
+    log.write_text("".join(lines))
+    assert replay.main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{log}:2: the log has {lines[1].rstrip()!r}" in err
+
+    log.write_text(lines[0])
+    assert replay.main(args) == 1
+    assert "has no row for decoder epoch 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("only", [["lobstr"], [], ["lobster", "bogus"]])
 def test_acceptance_driver_rejects_bad_stage_names(only, tmp_path):
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_acceptance.py")

@@ -198,6 +198,19 @@ def test_block_log_prob_shape_mismatch():
         block_log_prob(np.zeros(2), bp)
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+def test_block_log_prob_names_a_value_that_is_not_a_bit(bad):
+    bp = flat_block([0.0, 1.0], np.ones((3, 2)))
+    with pytest.raises(ValueError, match=f"observed block must hold 0/1 values, got {bad}"):
+        block_log_prob(np.array([1.0, bad, 0.0]), bp)
+
+
+def test_block_log_prob_reads_bits_of_any_dtype():
+    bp = flat_block([0.0, 1.0], np.random.default_rng(8).standard_normal((3, 2)))
+    values = {float(block_log_prob(eps, bp).data) for eps in ([1.0, 0.0, 1.0], [1, 0, 1], [True, False, True])}
+    assert len(values) == 1
+
+
 # -- graph likelihood ---------------------------------------------------------------
 
 
@@ -573,9 +586,10 @@ def test_mlp3_is_bitwise_equal_to_the_unfused_chain(frozen, monkeypatch):
     assert results[0] == results[1]
 
 
-def largest_committed_lobster():
-    """The lobster config, the largest committed lobster training graph
-    (n=100) in its training order, and the decoder's initial parameters."""
+def committed_lobster(n=100):
+    """The lobster config, the first committed lobster training graph with
+    ``n`` nodes (by default the largest) in its training order, and the
+    decoder's initial parameters."""
     import os
 
     from gradgen.config import load_config
@@ -583,7 +597,7 @@ def largest_committed_lobster():
 
     results = os.path.join(os.path.dirname(__file__), os.pardir, "results", "acceptance")
     cfg = load_config(os.path.join(results, "lobster.cfg"))
-    g = max(load_graphs(os.path.join(results, "lobster.ckpt.train.g")), key=lambda g: g.n)
+    g = next(g for g in load_graphs(os.path.join(results, "lobster.ckpt.train.g")) if g.n == n)
     params = init_decoder_params(cfg, np.random.default_rng([cfg.seed, 0xDEC0]))
     return cfg, to_lower(g, order_nodes(g, cfg.ordering)), params
 
@@ -596,7 +610,7 @@ def test_recomputation_is_bitwise_equal_at_every_threshold(frozen, monkeypatch):
     frozen (pass 2)."""
     import gradgen.decoder as dec
 
-    cfg, ol, params = largest_committed_lobster()
+    cfg, ol, params = committed_lobster()
     leaves = [t for _, t in params.tensors()]
     for t in leaves:
         t.requires_grad = not frozen
@@ -612,13 +626,48 @@ def test_recomputation_is_bitwise_equal_at_every_threshold(frozen, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("n", [100, 45])
+@pytest.mark.parametrize("frozen", [False, True], ids=["all leaves", "parameters frozen"])
+def test_fused_nodes_are_bitwise_equal_to_the_oracle_chain(n, frozen, monkeypatch):
+    """On a committed lobster with recomputed steps (n=100) and on one
+    without (n=45), the one-node block mixture and two-summand layer norms
+    give the NLL and every code and parameter gradient of the reference
+    chain bit for bit, with the parameters learned (pass 1 of a batch step)
+    and frozen (pass 2)."""
+    from collections import Counter
+
+    import gradgen.decoder as dec
+    from gradgen.tensorcore.engine import _linearize
+    from oracles import block_log_prob_chain, ga_forward_chain
+
+    cfg, ol, params = committed_lobster(n)
+    rng = np.random.default_rng(70)
+    leaves = [t for _, t in params.tensors()]
+    for t in leaves:
+        t.data = t.data + 0.05 * rng.standard_normal(t.shape)  # nonzero biases, gains off 1
+        t.requires_grad = not frozen
+    z0 = rng.uniform(-1.0, 1.0, (ol.n, cfg.d))
+    results = []
+    for chain, node in ((False, "bernoulli_mixture_log_prob"), (True, "logsumexp")):
+        if chain:
+            monkeypatch.setattr(dec, "block_log_prob", block_log_prob_chain)
+            monkeypatch.setattr(dec, "ga_forward", ga_forward_chain)
+        z = Tensor(z0, requires_grad=True)
+        loss = graph_nll(ol, z, params, k=cfg.K)
+        assert Counter(t._opname for t in _linearize(loss))[node] > 0
+        wrt = [z] + ([] if frozen else leaves)
+        got = grad(loss, wrt)
+        results.append([loss.data.tobytes()] + [got[t].tobytes() for t in wrt])
+    assert results[0] == results[1]
+
+
 def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     """Memory guard: on the largest committed lobster training graph (n=100)
     the tape that backward walks holds no GA layer, perceptron or mixture
     node of a recomputed step, only two checkpoint nodes per such step (its
     features and its log-likelihood), and it keeps under 0.29 of the bytes
-    that it keeps with every step's activations retained. Measured: 2212 /
-    3997 nodes and 56.4 / 213.9 MiB at CHECKPOINT_MIN_M = 50, a ratio of
+    that it keeps with every step's activations retained. Measured: 1526 /
+    2597 nodes and 53.9 / 204.4 MiB at CHECKPOINT_MIN_M = 50, a ratio of
     0.264, so the bound leaves a margin of 0.026 (a tenth of the ratio).
     Bytes are what tracemalloc sees still allocated once the loss is built,
     so the activations that a backward closure holds count too."""
@@ -629,7 +678,7 @@ def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     import gradgen.decoder as dec
     from gradgen.tensorcore.engine import _linearize
 
-    cfg, ol, params = largest_committed_lobster()
+    cfg, ol, params = committed_lobster()
     assert ol.n > dec.CHECKPOINT_MIN_M
     z0 = np.random.default_rng(35).uniform(-1.0, 1.0, (ol.n, cfg.d))
     counts = []
@@ -654,8 +703,9 @@ def test_checkpointing_shrinks_the_retained_tape(monkeypatch):
     assert ops["checkpoint"] == 2 * recomputed
     assert ops["dense_attention"] + ops["edge_attention"] == layers * (ol.n - recomputed)
     assert full_ops["dense_attention"] + full_ops["edge_attention"] == layers * ol.n
-    for name in ("mlp", "logsigmoid", "logsumexp"):
+    for name in ("mlp", "bernoulli_mixture_log_prob"):
         # every step records the same number of these, so only the plain steps' remain
+        assert full_ops[name] > 0 and ops[name] > 0
         assert full_ops[name] % ol.n == 0
         assert ops[name] == full_ops[name] // ol.n * (ol.n - recomputed)
     assert nbytes < 0.29 * full_bytes

@@ -8,6 +8,7 @@ import pytest
 from gradgen.tensorcore import (
     NonFiniteError,
     Tensor,
+    bernoulli_mixture_log_prob,
     checkpoint,
     concat,
     dense_attention,
@@ -18,8 +19,6 @@ from gradgen.tensorcore import (
     grad,
     layer_norm,
     logabsdet,
-    logsigmoid,
-    logsumexp,
     matmul,
     mlp,
     narrow,
@@ -29,7 +28,19 @@ from gradgen.tensorcore import (
 )
 
 from conftest import assert_grads_match, numerical_grad
-from oracles import attention_scores, dense_attention_chain, linear, masked_softmax, relu, reshape, transpose
+from oracles import (
+    attention_scores,
+    dense_attention_chain,
+    linear,
+    logsigmoid,
+    logsumexp,
+    masked_softmax,
+    mixture_log_prob_chain,
+    relu,
+    reshape,
+    transpose,
+)
+from oracles import layer_norm as layer_norm_chain
 
 rng = np.random.default_rng(0)
 
@@ -72,13 +83,15 @@ def test_matmul_shapes():
 def test_layer_norm_sum_matches_finite_differences():
     gain = Tensor(np.ones(4))
     bias = Tensor(np.zeros(4))
-    check_op(lambda x: tsum(layer_norm(x, gain, bias)), (4,), seed=4)
-    check_op(lambda x: tsum(tanh(layer_norm(x, gain, bias))), (3, 4), seed=5)
+    w = Tensor(np.random.default_rng(3).standard_normal((3, 4)))
+    check_op(lambda x, r: tsum(layer_norm(x, r, gain, bias)), (4,), (4,), seed=4)
+    check_op(lambda x, r: tsum(tanh(layer_norm(x, r, gain, bias)) * w), (3, 4), (3, 4), seed=5)
 
 
 def test_layer_norm_affine_gradients():
     check_op(
-        lambda x, g, b: tsum(layer_norm(x, g, b) * layer_norm(x, g, b)),
+        lambda x, r, g, b: tsum(layer_norm(x, r, g, b) * layer_norm(x, r, g, b)),
+        (3, 4),
         (3, 4),
         (4,),
         (4,),
@@ -100,44 +113,53 @@ def _layer_norm_with_ndarray_mean(x, gain, bias, g, eps=1e-5):
 @pytest.mark.parametrize("d", [5, 32, 160])
 def test_layer_norm_is_bitwise_equal_to_ndarray_mean(d):
     r = np.random.default_rng(50)
-    x0 = r.standard_normal((3, 7, d)) * 3.0 + 1.5
+    x0, r0 = (r.standard_normal((3, 7, d)) * 3.0 + 1.5 for _ in "xr")
     gain, bias, g = r.standard_normal(d), r.standard_normal(d), r.standard_normal((3, 7, d))
-    x = Tensor(x0, requires_grad=True)
-    out = layer_norm(x, Tensor(gain), Tensor(bias))
-    got = grad(tsum(out * Tensor(g)), [x])[x]
-    ref, ref_gx = _layer_norm_with_ndarray_mean(x0, gain, bias, g)
+    x, res = Tensor(x0, requires_grad=True), Tensor(r0, requires_grad=True)
+    out = layer_norm(x, res, Tensor(gain), Tensor(bias))
+    got = grad(tsum(out * Tensor(g)), [x, res])
+    ref, ref_gx = _layer_norm_with_ndarray_mean(x0 + r0, gain, bias, g)
     assert out.data.tobytes() == ref.tobytes()
-    assert got.tobytes() == ref_gx.tobytes()
+    assert got[x].tobytes() == got[res].tobytes() == ref_gx.tobytes()
 
 
 def test_layer_norm_moments():
     x = Tensor(rng.standard_normal((7, 16)) * 3.0 + 1.5)
-    out = layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16))).data
-    v = x.data.var(axis=-1)
+    r = Tensor(rng.standard_normal((7, 16)))
+    out = layer_norm(x, r, Tensor(np.ones(16)), Tensor(np.zeros(16))).data
+    v = (x.data + r.data).var(axis=-1)
     assert np.abs(out.mean(axis=-1)).max() < 1e-10
     assert np.abs(out.var(axis=-1) - v / (v + 1e-5)).max() < 1e-8
 
 
+@pytest.mark.parametrize("frozen", [(), ("x",), ("r",), ("x", "r"), ("gain", "bias")])
+def test_layer_norm_is_bitwise_equal_to_the_oracle_chain(frozen):
+    r = np.random.default_rng(61)
+    names = ("x", "r", "gain", "bias")
+    arrays = [r.standard_normal(s) * 2.0 for s in ((9, 12), (9, 12), (12,), (12,))]
+    c = Tensor(r.standard_normal((9, 12)))
+    results = []
+    for fused in (True, False):
+        x, res, gain, bias = (Tensor(a, requires_grad=name not in frozen) for a, name in zip(arrays, names))
+        out = layer_norm(x, res, gain, bias) if fused else layer_norm_chain(x + res, gain, bias)
+        leaves = [t for t, name in zip((x, res, gain, bias), names) if name not in frozen]
+        got = grad(tsum(out * c), leaves)
+        results.append([out.data.tobytes()] + [got[t].tobytes() for t in leaves])
+    assert results[0] == results[1]
+
+
+def test_layer_norm_keeps_y_and_inv_but_not_the_sum():
+    r = np.random.default_rng(62)
+    x, res = (Tensor(r.standard_normal((5, 8)), requires_grad=True) for _ in "xr")
+    out = layer_norm(x, res, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+    assert out._parents[:2] == (x, res)
+    kept = [c.cell_contents for c in out._bwd.__closure__]
+    assert sorted(a.shape for a in kept if isinstance(a, np.ndarray)) == [(5, 1), (5, 8)]
+
+
 def test_pointwise_gradients():
     check_op(lambda x: tsum(relu(x) * relu(x)), (11,), seed=8)
-    check_op(lambda x: tsum(logsigmoid(x)), (7,), seed=10)
     check_op(lambda x: tsum(exp(x * Tensor(0.3))), (5,), seed=11)
-
-
-def test_logsigmoid_is_stable_far_from_zero():
-    x = Tensor(np.array([-800.0, 800.0]))
-    out = logsigmoid(x).data
-    assert out[0] == pytest.approx(-800.0)
-    assert out[1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_logsumexp_matches_numpy_and_fd():
-    x = rng.standard_normal((3, 5)) * 10
-    got = logsumexp(Tensor(x), axis=-1).data
-    ref = np.log(np.exp(x - x.max(-1, keepdims=True)).sum(-1)) + x.max(-1)
-    np.testing.assert_allclose(got, ref, rtol=1e-12)
-    check_op(lambda t: tsum(logsumexp(t, axis=-1)), (3, 5), seed=13)
-    check_op(lambda t: logsumexp(t), (4,), seed=14)
 
 
 def test_reductions_and_shape_ops():
@@ -209,6 +231,63 @@ def test_deep_chain_does_not_recurse():
     assert grad(y, [x])[x] == pytest.approx(1.0)
 
 
+# -- block mixture ---------------------------------------------------------
+
+
+def _bits(kind, p, seed=0):
+    if kind == "all 0":
+        return np.zeros(p, dtype=bool)
+    if kind == "all 1":
+        return np.ones(p, dtype=bool)
+    return np.random.default_rng(seed).random(p) < 0.5
+
+
+@pytest.mark.parametrize("kind", ["all 0", "all 1", "mixed"])
+@pytest.mark.parametrize("p, c", [(5, 3), (0, 3), (4, 1), (0, 1)])
+def test_bernoulli_mixture_matches_finite_differences(kind, p, c):
+    bits = _bits(kind, p, seed=63)
+    check_op(lambda pi, lam: bernoulli_mixture_log_prob(pi, lam, bits) * Tensor(-1.7), (c,), (p, c), seed=64)
+
+
+def test_bernoulli_mixture_value():
+    r = np.random.default_rng(65)
+    pi, lam = r.standard_normal(3), r.standard_normal((6, 3)) * 3
+    bits = _bits("mixed", 6, seed=66)
+    lik = np.where(bits[:, None], 1.0 / (1.0 + np.exp(-lam)), 1.0 / (1.0 + np.exp(lam))).prod(axis=0)
+    ref = np.log((np.exp(pi) / np.exp(pi).sum() * lik).sum())
+    got = float(bernoulli_mixture_log_prob(Tensor(pi), Tensor(lam), bits).data)
+    assert got == pytest.approx(ref, rel=1e-12)
+    assert float(bernoulli_mixture_log_prob(Tensor(pi), Tensor(np.zeros((0, 3))), bits[:0]).data) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("upstream", [1.0, -1.0, 0.37, -2.9])
+@pytest.mark.parametrize("frozen", [(), ("pi",), ("lam",)], ids=["all leaves", "pi frozen", "lam frozen"])
+@pytest.mark.parametrize("kind, p, c", [("mixed", 30, 4), ("all 0", 7, 2), ("all 1", 7, 1), ("mixed", 0, 3)])
+def test_bernoulli_mixture_is_bitwise_equal_to_the_oracle_chain(kind, p, c, frozen, upstream):
+    r = np.random.default_rng(67)
+    pi0 = r.standard_normal(c) * 3
+    lam0 = r.standard_normal((p, c)) * 4
+    lam0[::5] *= 15  # |lam| past 37: 1 - sigmoid rounds to zero, and so do some gradients
+    bits = _bits(kind, p, seed=68)
+    results = []
+    for mixture in (bernoulli_mixture_log_prob, mixture_log_prob_chain):
+        pi, lam = Tensor(pi0, requires_grad="pi" not in frozen), Tensor(lam0, requires_grad="lam" not in frozen)
+        out = mixture(pi, lam, bits)
+        leaves = [t for t, name in ((pi, "pi"), (lam, "lam")) if name not in frozen]
+        got = grad(tsum(out * Tensor(upstream)), leaves)
+        results.append([out.data.tobytes()] + [got[t].tobytes() for t in leaves])
+    assert results[0] == results[1]
+
+
+def test_bernoulli_mixture_keeps_the_pair_terms_and_two_component_vectors():
+    r = np.random.default_rng(69)
+    pi, lam = Tensor(r.standard_normal(4), requires_grad=True), Tensor(r.standard_normal((9, 4)), requires_grad=True)
+    out = bernoulli_mixture_log_prob(pi, lam, _bits("mixed", 9))
+    kept = [c.cell_contents for c in out._bwd.__closure__]
+    shapes = sorted(a.shape for a in kept if isinstance(a, np.ndarray))
+    assert shapes == [(4,), (4,), (9,), (9, 4)]
+
+
 # -- attention -----------------------------------------------------------
 
 
@@ -275,6 +354,30 @@ def test_dense_attention_keeps_the_weights_but_not_the_scores():
 # -- the reference chain ------------------------------------------------
 # The fused kernels are held, bit for bit, to the unfused chain in
 # tests/oracles.py, so the nodes of that chain keep their own checks.
+
+
+def test_logsigmoid_gradient():
+    check_op(lambda x: tsum(logsigmoid(x)), (7,), seed=10)
+
+
+def test_logsigmoid_is_stable_far_from_zero():
+    x = Tensor(np.array([-800.0, 800.0]))
+    out = logsigmoid(x).data
+    assert out[0] == pytest.approx(-800.0)
+    assert out[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_logsumexp_matches_numpy_and_fd():
+    x = rng.standard_normal((3, 5)) * 10
+    got = logsumexp(Tensor(x), axis=-1).data
+    ref = np.log(np.exp(x - x.max(-1, keepdims=True)).sum(-1)) + x.max(-1)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
+    check_op(lambda t: tsum(logsumexp(t, axis=-1)), (3, 5), seed=13)
+    check_op(lambda t: logsumexp(t), (4,), seed=14)
+
+
+def test_one_input_layer_norm_gradient():
+    check_op(lambda x, g, b: tsum(layer_norm_chain(x, g, b) * layer_norm_chain(x, g, b)), (3, 4), (4,), (4,), seed=7)
 
 
 def test_linear_fused():
@@ -351,7 +454,7 @@ def test_masked_softmax_complete_mask_values_unchanged(n):
 
 def _block(h, w, b):
     """A small residual block that reads its input in three places."""
-    return layer_norm(h + tanh(matmul(h, w)), b, b) * h
+    return layer_norm(h, tanh(matmul(h, w)), b, b) * h
 
 
 def test_checkpoint_matches_finite_differences():
