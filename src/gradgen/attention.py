@@ -114,14 +114,17 @@ class GaParams:
             yield f, getattr(self, f)
 
 
-def glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Glorot-uniform weights; the last two axes are fan-in and fan-out."""
+def glorot(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
+    """Glorot-uniform weights; the last two axes are fan-in and fan-out.
+    With no generator the array is left unset, for a load to fill."""
+    if rng is None:
+        return np.empty(shape)
     bound = np.sqrt(6.0 / (shape[-2] + shape[-1]))
     return rng.uniform(-bound, bound, size=shape)
 
 
 def init_ga_params(
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     d_in: int,
     d_s: int,
     heads: int,

@@ -135,7 +135,12 @@ def load_checkpoint(path) -> Checkpoint:
                 )
             return name, (tuple(shape), start)
 
-        table = dict(read_entry(i, e) for i, e in enumerate(field("entries")))
+        table = {}
+        for i, entry in enumerate(field("entries")):
+            name, where = read_entry(i, entry)
+            if name in table:
+                raise CheckpointError(f"{path}: entry {i} repeats tensor {name}")
+            table[name] = where
 
         def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
             if name not in table:
@@ -160,11 +165,11 @@ def load_checkpoint(path) -> Checkpoint:
         initialized = field("flow_initialized")
         flow = None
         if field("has_flow"):
-            flow = init_flow_params(cfg, np.random.default_rng(0))
+            flow = init_flow_params(cfg, None)
             flow.initialized = initialized
         ckpt = Checkpoint(
             config=cfg,
-            decoder=init_decoder_params(cfg, np.random.default_rng(0)),
+            decoder=init_decoder_params(cfg, None),
             store=LatentStore([tensor(f"latent/{i}", (n, cfg.d)) for i, n in enumerate(sizes)]),
             flow=flow,
             decoder_adam=AdamState(step=field("decoder_adam_step")),

@@ -25,7 +25,6 @@ from .decoder import dataset_nll, decoder_epoch_budget, sample_graph, train_auto
 from .evalstats import lobster_validity, mmd_suite
 from .flow import sample_codes, train_flow
 from .graphdata import (
-    ORDERINGS,
     DatasetSplit,
     OrderedLower,
     SizeDistribution,
@@ -82,21 +81,6 @@ def cmd_gen_data(args) -> None:
     }
     atomic_write_text(args.out + ".manifest", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(graphs)} graphs to {args.out} ({manifest['min_nodes']}..{manifest['max_nodes']} nodes)")
-
-
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "mode", None):
-        cfg.mode = args.mode
-    if getattr(args, "ordering", None):
-        cfg.ordering = args.ordering
-    if getattr(args, "block_size", None) is not None:
-        cfg.K = args.block_size
-    return cfg.validate()
 
 
 def log_row(phase: str, epoch: int, lr: float, nll: float) -> str:
@@ -159,10 +143,8 @@ def training_split(cfg: RunConfig, data: str) -> tuple[DatasetSplit, list[Ordere
 
 def cmd_train(args) -> None:
     gc.set_threshold(*GC_THRESHOLD)
-    cfg = _build_config(args)
+    cfg = load_config(args.config) if args.config else RunConfig()
     ds, train_ordered = training_split(cfg, args.data)
-    save_graphs(args.out + ".train.g", ds.train, comment="train split")
-    save_graphs(args.out + ".test.g", ds.test, comment="test split")
     sizes = [g.n for g in ds.train]
     log_path = args.out + ".log"
 
@@ -185,6 +167,9 @@ def cmd_train(args) -> None:
         )
         if os.path.exists(log_path):
             os.unlink(log_path)
+    # only now, so that a refused resume leaves the split it was trained on
+    save_graphs(args.out + ".train.g", ds.train, comment="train split")
+    save_graphs(args.out + ".test.g", ds.test, comment="test split")
 
     decoder_total = decoder_epoch_budget(cfg)
     for start in range(ckpt.decoder_epochs_done, decoder_total, CHECKPOINT_EVERY):
@@ -295,7 +280,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_show_config(args) -> None:
-    print(format_config(_build_config(args)), end="")
+    print(format_config(load_config(args.config) if args.config else RunConfig()), end="")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,11 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the auto-decoder (and flow) on a dataset")
     t.add_argument("data")
     t.add_argument("--out", required=True, help="checkpoint path")
-    t.add_argument("--config", help="key = value config file")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--mode", choices=MODES)
-    t.add_argument("--ordering", choices=ORDERINGS)
-    t.add_argument("--block-size", type=int, dest="block_size")
+    t.add_argument("--config", help="key = value config file; the defaults when omitted")
     t.add_argument("--resume", action="store_true", help="continue from an existing checkpoint")
     t.set_defaults(fn=cmd_train)
 
@@ -337,11 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eval)
 
     c = sub.add_parser("show-config", help="print the effective configuration")
-    c.add_argument("--config")
-    c.add_argument("--seed", type=int)
-    c.add_argument("--mode", choices=MODES)
-    c.add_argument("--ordering", choices=ORDERINGS)
-    c.add_argument("--block-size", type=int, dest="block_size")
+    c.add_argument("--config", help="key = value config file; the defaults when omitted")
     c.set_defaults(fn=cmd_show_config)
     return p
 

@@ -64,9 +64,9 @@ class RunConfig:
         return self
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse flat ``key = value`` lines; unknown keys are rejected."""
-    cfg = base or RunConfig()
+def parse_config(text: str) -> RunConfig:
+    """Parse flat ``key = value`` lines over the defaults; unknown keys are rejected."""
+    cfg = RunConfig()
     types = {f.name: f.type for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -93,12 +93,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     return cfg.validate()
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     """``parse_config`` on a file; its errors start with the file's path."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
     try:
-        return parse_config(text, base=base)
+        return parse_config(text)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
 

@@ -92,7 +92,7 @@ class DecoderParams:
         return dict(self.tensors())
 
 
-def _init_mlp3(rng: np.random.Generator, d_in: int, hidden: int, d_out: int) -> Mlp3:
+def _init_mlp3(rng: np.random.Generator | None, d_in: int, hidden: int, d_out: int) -> Mlp3:
     return Mlp3(
         w1=Tensor(glorot(rng, d_in, hidden), requires_grad=True),
         b1=Tensor(np.zeros(hidden), requires_grad=True),
@@ -103,7 +103,8 @@ def _init_mlp3(rng: np.random.Generator, d_in: int, hidden: int, d_out: int) -> 
     )
 
 
-def init_decoder_params(cfg: RunConfig, rng: np.random.Generator) -> DecoderParams:
+def init_decoder_params(cfg: RunConfig, rng: np.random.Generator | None) -> DecoderParams:
+    """Glorot-initialized; with no generator the weights are left unset for a load."""
     gas = [init_ga_params(rng, cfg.d, cfg.d_s_decoder, cfg.heads) for _ in range(cfg.M)]
     f_lam = _init_mlp3(rng, cfg.d, 2 * cfg.d, cfg.C)
     f_pi = _init_mlp3(rng, cfg.d, 2 * cfg.d, cfg.C)

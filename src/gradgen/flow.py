@@ -85,14 +85,17 @@ class FlowResult:
     logdet: Tensor
 
 
-def _random_rotation(rng: np.random.Generator, k: int) -> np.ndarray:
+def _random_rotation(rng: np.random.Generator | None, k: int) -> np.ndarray:
+    if rng is None:
+        return np.empty((k, k))  # left for a load to fill
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))
 
 
-def init_flow_params(cfg: RunConfig, rng: np.random.Generator) -> FlowParams:
+def init_flow_params(cfg: RunConfig, rng: np.random.Generator | None) -> FlowParams:
     """GA transforms start as the zero map (zeroed output gain) so every step
-    begins near identity; mixing matrices start as random rotations."""
+    begins near identity; mixing matrices start as random rotations. With no
+    generator, the random weights are left unset for a checkpoint load."""
     d2 = cfg.d // 2
     layers = []
     for _ in range(cfg.R):  # seeded draw order per step: four GA transforms, then two rotations

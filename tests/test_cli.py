@@ -76,6 +76,14 @@ def tiny_cfg_file(tmp_path):
     return str(path)
 
 
+def tiny_cfg_with(tmp_path, line):
+    """The tiny config file with one more ``key = value`` line, which wins
+    over an earlier line for the same key."""
+    path = tmp_path / "tiny_more.cfg"
+    path.write_text(TINY_CFG + line + "\n")
+    return str(path)
+
+
 # -- config ---------------------------------------------------------------
 
 
@@ -116,13 +124,12 @@ def test_config_rejects_bad_values():
         parse_config("seed = -1\n")
 
 
-@pytest.mark.parametrize("command", ["train", "sample", "gen-data"])
+@pytest.mark.parametrize("command", ["sample", "gen-data"])
 def test_negative_seed_flag_is_named(command, tmp_path, capsys, monkeypatch):
     ckpt = tmp_path / "m.ckpt"
     ckpt_io.save_checkpoint(ckpt, small_checkpoint())
     monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
-    args = {"train": ["train", str(tmp_path / "none.g"), "--out", str(ckpt)],
-            "sample": ["sample", str(ckpt), "2", "--out", str(tmp_path / "x.g")],
+    args = {"sample": ["sample", str(ckpt), "2", "--out", str(tmp_path / "x.g")],
             "gen-data": ["gen-data", "lobster", str(tmp_path / "x.g")]}[command]
     assert cli.main(args + ["--seed", "-1"]) == 1
     named = "--seed" if command == "gen-data" else "config field 'seed'"
@@ -330,6 +337,9 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, tiny_data, ca
          "'flow_adam_step' is 2 but the checkpoint has no flow"),
         (lambda h: {**h, "config": {**h["config"], "dd": 1}}, r"bad config \(.*unexpected keyword argument 'dd'\)"),
         (drop_entry("latent/1"), "missing tensor latent/1"),
+        # a second row for a name, pointing at another tensor's bytes
+        (lambda h: {**h, "entries": h["entries"] + [{**h["entries"][1], "name": h["entries"][0]["name"]}]},
+         rf"entry {len(header['entries'])} repeats tensor {re.escape(header['entries'][0]['name'])}$"),
         *[(edit_first_entry(lambda e, key=key: {k: v for k, v in e.items() if k != key}), f"entry 0 has no '{key}'")
           for key in ("name", "shape", "offset")],
         (edit_first_entry(lambda e: 5), "entry 0 is a JSON int, not an object"),
@@ -349,6 +359,23 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, tiny_data, ca
     # the parent format's copies of the config and the latent count are not read
     bad.write_bytes(with_header(data, set_field("n_latents", "3")))
     assert ckpt_io.load_checkpoint(bad).train_sizes == [4, 6]
+
+
+def test_checkpoint_load_draws_no_random_number(tmp_path, monkeypatch):
+    """A load builds the decoder and the flow without drawing the initial
+    values that the stored tensors replace."""
+    ckpt = small_checkpoint()
+    path = tmp_path / "m.ckpt"
+    ckpt_io.save_checkpoint(path, ckpt)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    back = ckpt_io.load_checkpoint(path)
+    saved, loaded = ckpt.named_tensors(), back.named_tensors()
+    assert loaded.keys() == saved.keys()
+    assert all(arr.tobytes() == saved[name].tobytes() for name, arr in loaded.items())
 
 
 def test_checkpoint_truncated_payload_is_named(tmp_path, monkeypatch):
@@ -594,7 +621,7 @@ def test_sample_determinism(tmp_path, tiny_data, tiny_cfg_file):
 
 def test_peek_checkpoint_prints_the_four_statistics(tmp_path, tiny_data, tiny_cfg_file, capsys):
     ckpt = tmp_path / "d.ckpt"
-    run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt, "--mode", "grad_d")
+    run_cli("train", tiny_data, "--config", tiny_cfg_with(tmp_path, "mode = grad_d"), "--out", ckpt)
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "peek_checkpoint.py")
     spec = importlib.util.spec_from_file_location("peek_checkpoint", script)
     peek = importlib.util.module_from_spec(spec)
@@ -653,9 +680,9 @@ def test_acceptance_driver_rejects_bad_stage_names(only, tmp_path):
     assert not results.exists()
 
 
-def test_train_grad_d_skips_flow(tmp_path, tiny_data, tiny_cfg_file):
+def test_train_grad_d_skips_flow(tmp_path, tiny_data):
     ckpt = tmp_path / "d.ckpt"
-    run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt, "--mode", "grad_d")
+    run_cli("train", tiny_data, "--config", tiny_cfg_with(tmp_path, "mode = grad_d"), "--out", ckpt)
     back = ckpt_io.load_checkpoint(ckpt)
     assert back.flow is None
     out = tmp_path / "s.g"
@@ -663,9 +690,9 @@ def test_train_grad_d_skips_flow(tmp_path, tiny_data, tiny_cfg_file):
     assert len(load_graphs(out)) == 2
 
 
-def test_train_grad_r_triples_epochs(tmp_path, tiny_data, tiny_cfg_file):
+def test_train_grad_r_triples_epochs(tmp_path, tiny_data):
     ckpt = tmp_path / "r.ckpt"
-    run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt, "--mode", "grad_r")
+    run_cli("train", tiny_data, "--config", tiny_cfg_with(tmp_path, "mode = grad_r"), "--out", ckpt)
     log = (tmp_path / "r.ckpt.log").read_text()
     decoder_epochs = [int(line.split(",")[1]) for line in log.splitlines() if line.startswith("decoder,")]
     assert max(decoder_epochs) == 5  # 2 configured epochs * 3
@@ -734,10 +761,16 @@ def test_sample_rejects_nonpositive_sizes(args, message, tiny_ckpt, tmp_path, ca
     assert not out.exists() and not (tmp_path / "s.g.timing").exists()
 
 
-def test_block_size_zero_is_rejected(capsys):
-    # train and show-config share the flag's parsing; show-config cannot start a run
-    assert cli.main(["show-config", "--block-size", "0"]) == 1
-    assert capsys.readouterr().err == "error: config field 'K' must be positive\n"
+def test_block_size_zero_is_rejected(tmp_path, capsys):
+    # train and show-config read the same file; show-config cannot start a run
+    cfg = tiny_cfg_with(tmp_path, "K = 0")
+    assert cli.main(["show-config", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: config field 'K' must be positive\n"
+    # no flag sets a config key: the file is a run's only source of settings
+    for argv in (["show-config", "--block-size", "2"], ["train", "d.g", "--out", "m.ckpt", "--seed", "3"]):
+        with pytest.raises(SystemExit) as usage:
+            cli.main(argv)
+        assert usage.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_reports_errors_on_stderr(tmp_path):
@@ -746,9 +779,20 @@ def test_cli_reports_errors_on_stderr(tmp_path):
     assert "error:" in proc.stderr
 
 
-def test_config_mismatch_on_resume(tmp_path, tiny_data, tiny_cfg_file):
+def test_config_mismatch_on_resume(tmp_path, tiny_data, tiny_cfg_file, capsys, monkeypatch):
+    """A resume refused for another seed or for other data leaves the split,
+    the checkpoint and the log as they were."""
     ckpt = tmp_path / "model.ckpt"
     run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt)
-    proc = run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt, "--resume", "--seed", 99, check=False)
-    assert proc.returncode != 0
-    assert "differs" in proc.stderr
+    files = [ckpt, *(tmp_path / f"model.ckpt.{ext}" for ext in ("train.g", "test.g", "log"))]
+    before = [p.read_bytes() for p in files]
+    other_data = tmp_path / "other.g"
+    save_graphs(other_data, sorted(gen_cycles(), key=lambda g: g.n)[5:15])
+    monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    for data, cfg, message in [
+        (tiny_data, tiny_cfg_with(tmp_path, "seed = 99"), "checkpoint config differs from requested config"),
+        (str(other_data), tiny_cfg_file, "checkpoint was trained on different data"),
+    ]:
+        assert cli.main(["train", data, "--config", cfg, "--out", str(ckpt), "--resume"]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+        assert [p.read_bytes() for p in files] == before
