@@ -131,13 +131,20 @@ def _trim_log(path: str, decoder_done: int, flow_done: int) -> bool:
     return any(line.startswith("summary,") for line in kept)
 
 
+def _nonempty_graphs(path: str) -> list:
+    graphs = load_graphs(path)
+    if not graphs:
+        raise ConfigError(f"{path}: no graphs")
+    return graphs
+
+
 def training_split(cfg: RunConfig, data: str) -> tuple[DatasetSplit, list[OrderedLower]]:
     """The train/test split of the graphs in ``data`` and the training graphs
     in their training order, as ``train`` builds them."""
-    graphs = load_graphs(data)
-    if not graphs:
-        raise ConfigError(f"{data}: no graphs")
+    graphs = _nonempty_graphs(data)
     ds = split(graphs, cfg.seed)
+    if not ds.train:
+        raise ConfigError(f"{data}: {len(graphs)} graph leaves the 80/20 split without a training graph")
     return ds, [to_lower(g, order_nodes(g, cfg.ordering)) for g in ds.train]
 
 
@@ -264,11 +271,9 @@ def draw_graphs(ckpt: ckpt_io.Checkpoint, count: int, mode: str, rng: np.random.
 
 
 def cmd_eval(args) -> None:
-    samples = load_graphs(args.samples)
-    test = load_graphs(args.test)
-    if not samples or not test:
-        raise ConfigError("both graph sets must be nonempty")
-    scores = mmd_suite(samples, test, sigma=args.sigma, workers=worker_count())
+    samples = _nonempty_graphs(args.samples)
+    test = _nonempty_graphs(args.test)
+    scores = mmd_suite(samples, test, workers=worker_count())
     lines = ["statistic        score", "-" * 28]
     lines += [f"{stat:<16} {score:.6g}" for stat, score in scores.items()]
     if args.validity:
@@ -313,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("samples")
     e.add_argument("test")
     e.add_argument("--out", required=True)
-    e.add_argument("--sigma", type=float, default=1.0)
     e.add_argument("--validity", action="store_true", help="also report lobster validity fraction")
     e.set_defaults(fn=cmd_eval)
 

@@ -37,6 +37,7 @@ STATISTICS = ("degree", "clustering", "orbit", "spectra")
 CLUSTERING_BINS = 100
 SPECTRA_BINS = 200
 ORBITS = 15
+SIGMA = 1.0  # MMD kernel bandwidth
 
 
 @dataclass
@@ -211,19 +212,16 @@ def _descriptor_matrix(stats: list[StatHistogram], width: int) -> np.ndarray:
     return out
 
 
-def mmd2(set_a: list[StatHistogram], set_b: list[StatHistogram], sigma: float = 1.0) -> float:
+def mmd2(set_a: list[StatHistogram], set_b: list[StatHistogram]) -> float:
     """Biased squared-MMD estimator between two sets of statistic descriptors.
 
-    Gaussian kernel exp(-dist^2 / (2 sigma^2)); dist is total variation for
+    Gaussian kernel exp(-dist^2 / (2 SIGMA^2)); dist is total variation for
     histogram kinds and Euclidean for orbit vectors. The Gaussian of total
     variation is not a positive-definite kernel, so two sets drawn from one
     distribution can genuinely estimate below zero, not only by rounding.
     Negative estimates are clamped to zero, which biases the statistic
-    slightly upward; a non-finite estimate and a bandwidth ``sigma`` that is
-    not positive raise ``ValueError``.
+    slightly upward; a non-finite estimate raises ``ValueError``.
     """
-    if not sigma > 0:
-        raise ValueError(f"MMD bandwidth sigma must be positive, got {sigma}")
     if not set_a or not set_b:
         raise ValueError("both descriptor sets must be nonempty")
     kinds = {s.kind for s in set_a} | {s.kind for s in set_b}
@@ -240,7 +238,7 @@ def mmd2(set_a: list[StatHistogram], set_b: list[StatHistogram], sigma: float = 
         else:
             tv = 0.5 * np.abs(x[:, None, :] - y[None, :, :]).sum(-1)
             d2 = tv * tv
-        return np.exp(-d2 / (2.0 * sigma * sigma))
+        return np.exp(-d2 / (2.0 * SIGMA * SIGMA))
 
     val = gram(xa, xa).mean() + gram(xb, xb).mean() - 2.0 * gram(xa, xb).mean()
     if not np.isfinite(val):
@@ -248,7 +246,7 @@ def mmd2(set_a: list[StatHistogram], set_b: list[StatHistogram], sigma: float = 
     return max(float(val), 0.0)
 
 
-def mmd_suite(samples: list[Graph], reference: list[Graph], sigma: float = 1.0, workers: int = 1) -> dict[str, float]:
+def mmd_suite(samples: list[Graph], reference: list[Graph], workers: int = 1) -> dict[str, float]:
     """All four statistics between a sample set and a reference set. With
     ``workers > 1`` one process pool computes every graph's statistics."""
     graphs = list(samples) + list(reference)
@@ -261,7 +259,7 @@ def mmd_suite(samples: list[Graph], reference: list[Graph], sigma: float = 1.0, 
         stats = [_graph_stats(g) for g in graphs]
     n = len(samples)
     return {
-        kind: mmd2([s[i] for s in stats[:n]], [s[i] for s in stats[n:]], sigma=sigma)
+        kind: mmd2([s[i] for s in stats[:n]], [s[i] for s in stats[n:]])
         for i, kind in enumerate(STATISTICS)
     }
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -122,6 +123,14 @@ def test_config_rejects_bad_values():
         parse_config("d : 3\n")
     with pytest.raises(ConfigError, match=r"^config field 'seed' must be a non-negative integer, got -1$"):
         parse_config("seed = -1\n")
+
+
+@pytest.mark.parametrize("scheme", ["default", "dfs", "degree", "kcore"])
+def test_config_accepts_only_the_bfs_ordering(scheme, tmp_path):
+    cfg = tiny_cfg_with(tmp_path, f"ordering = {scheme}")
+    with pytest.raises(ConfigError) as bad:
+        load_config(cfg)
+    assert str(bad.value).startswith(f"{cfg}: ") and "'bfs'" in str(bad.value)
 
 
 @pytest.mark.parametrize("command", ["sample", "gen-data"])
@@ -619,25 +628,6 @@ def test_sample_determinism(tmp_path, tiny_data, tiny_cfg_file):
     assert a.read_text() == b.read_text()
 
 
-def test_peek_checkpoint_prints_the_four_statistics(tmp_path, tiny_data, tiny_cfg_file, capsys):
-    ckpt = tmp_path / "d.ckpt"
-    run_cli("train", tiny_data, "--config", tiny_cfg_with(tmp_path, "mode = grad_d"), "--out", ckpt)
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "peek_checkpoint.py")
-    spec = importlib.util.spec_from_file_location("peek_checkpoint", script)
-    peek = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(peek)
-    with pytest.raises(SystemExit) as bad_mode:
-        peek.main([str(ckpt), "--mode", "gradd", "-n", "3"])
-    assert bad_mode.value.code == 2
-    assert peek.main([str(ckpt), "--mode", "grad", "-n", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "falling back to grad_d" in "\n".join(lines)
-    rows = [line.split() for line in lines]
-    scores = {r[0]: float(r[1]) for r in rows if r and r[0] in STATISTICS}
-    assert set(scores) == set(STATISTICS)
-    assert all(np.isfinite(v) and v >= 0.0 for v in scores.values())
-
-
 def test_replay_log_matches_a_fresh_log_and_names_an_edited_row(tmp_path, tiny_data, tiny_cfg_file, capsys):
     ckpt = tmp_path / "r.ckpt"
     run_cli("train", tiny_data, "--config", tiny_cfg_file, "--out", ckpt)
@@ -708,19 +698,22 @@ def test_eval_self_is_zero(tmp_path, tiny_data):
     assert all(float(score) <= 1e-12 for _, score in rows)
 
 
-@pytest.mark.parametrize("sigma", ["0", "-1"])
-def test_eval_rejects_a_bandwidth_that_is_not_positive(sigma, tmp_path, tiny_data, capsys):
-    assert cli.main(["eval", tiny_data, tiny_data, "--sigma", sigma, "--out", str(tmp_path / "r.txt")]) == 1
-    assert capsys.readouterr().err == f"error: MMD bandwidth sigma must be positive, got {float(sigma)}\n"
+def test_eval_has_no_bandwidth_option(tmp_path, tiny_data, capsys):
+    # the MMD kernel bandwidth is fixed at 1
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["eval", tiny_data, tiny_data, "--sigma", "1", "--out", str(tmp_path / "r.txt")])
+    assert usage.value.code == 2 and "unrecognized arguments: --sigma" in capsys.readouterr().err
     assert not (tmp_path / "r.txt").exists()
 
 
 def test_eval_empty_set_fails(tmp_path, tiny_data):
     empty = tmp_path / "empty.g"
     empty.write_text("")
-    proc = run_cli("eval", empty, tiny_data, "--out", tmp_path / "r.txt", check=False)
-    assert proc.returncode != 0
-    assert proc.stderr.strip()
+    for pair in ((empty, tiny_data), (tiny_data, empty)):
+        proc = run_cli("eval", *pair, "--out", tmp_path / "r.txt", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {empty}: no graphs\n"
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize("raw", ["0", "-2", "two", ""])
@@ -771,6 +764,35 @@ def test_block_size_zero_is_rejected(tmp_path, capsys):
         with pytest.raises(SystemExit) as usage:
             cli.main(argv)
         assert usage.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_train_on_one_graph_is_refused_before_any_file_is_written(tmp_path, tiny_cfg_file, capsys, monkeypatch):
+    one = str(tmp_path / "one.g")
+    save_graphs(one, gen_cycles()[:1])
+    monkeypatch.setattr(cli.gc, "set_threshold", lambda *a: None)
+    message = f"{one}: 1 graph leaves the 80/20 split without a training graph"
+    assert cli.main(["train", one, "--out", str(tmp_path / "one.ckpt"), "--config", tiny_cfg_file]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.g", "tiny.cfg"]
+    # the log replay builds its split with the same function
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli.training_split(load_config(tiny_cfg_file), one)
+
+
+def test_readme_cli_block_lists_every_option():
+    """The README's CLI synopsis names exactly the options each subcommand's
+    parser accepts."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    listed = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in block.splitlines()}
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert listed == accepted
 
 
 def test_cli_reports_errors_on_stderr(tmp_path):

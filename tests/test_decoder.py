@@ -38,8 +38,8 @@ def make_params(cfg=None, seed=0):
     return cfg, init_decoder_params(cfg, np.random.default_rng(seed))
 
 
-def ordered(g: Graph, scheme="bfs"):
-    return to_lower(g, order_nodes(g, scheme))
+def ordered(g: Graph):
+    return to_lower(g, order_nodes(g, "bfs"))
 
 
 # -- scaffold ------------------------------------------------------------------

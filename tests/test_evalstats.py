@@ -234,7 +234,7 @@ def test_mmd_singletons_closed_form():
 
     a = [StatHistogram("degree", np.array([1.0, 0.0]))]
     b = [StatHistogram("degree", np.array([0.0, 1.0]))]
-    assert mmd2(a, b, sigma=1.0) == pytest.approx(2.0 - 2.0 * np.exp(-0.5), rel=1e-12)
+    assert mmd2(a, b) == pytest.approx(2.0 - 2.0 * np.exp(-0.5), rel=1e-12)
 
 
 def test_mmd_clamps_genuinely_negative_estimate():

@@ -135,36 +135,17 @@ def test_bfs_on_c5():
     assert order_nodes(c5, "bfs") == [0, 1, 4, 2, 3]
 
 
-def test_default_is_identity():
-    g = random_graph(9, 0.3, seed=2)
-    assert order_nodes(g, "default") == list(range(9))
-
-
-def test_degree_ordering_star():
-    star = Graph(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
-    assert order_nodes(star, "degree")[0] == 4
-
-
-def test_dfs_ordering():
-    #   0-1, 0-2, 1-3: DFS from 0 visits 1 first, then 3, then backtracks to 2
-    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
-    assert order_nodes(g, "dfs") == [0, 1, 3, 2]
-
-
-def test_kcore_ordering():
-    # triangle (core 2) plus pendant chain (core 1)
-    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-    order = order_nodes(g, "kcore")
-    assert set(order[:3]) == {0, 1, 2}
-    assert order[3:] == [3, 4]
+@pytest.mark.parametrize("scheme", ["default", "dfs", "degree", "kcore"])
+def test_unknown_ordering_is_refused(scheme):
+    with pytest.raises(ValueError, match=f"unknown ordering scheme: '{scheme}'"):
+        order_nodes(Graph(3, [(0, 1)]), scheme)
 
 
 def test_orderings_handle_disconnected():
     g = Graph(6, [(0, 1), (3, 4)])
-    for scheme in ("bfs", "dfs"):
-        order = order_nodes(g, scheme)
-        assert sorted(order) == list(range(6))
-        assert order[0] == 0
+    order = order_nodes(g, "bfs")
+    assert sorted(order) == list(range(6))
+    assert order[0] == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,10 +222,11 @@ def test_roundtrip_community_graphs():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 20), st.floats(0, 1), st.integers(0, 10_000), st.sampled_from(["bfs", "dfs", "default", "degree", "kcore"]))
-def test_roundtrip_property(n, p, seed, scheme):
+@given(st.integers(1, 20), st.floats(0, 1), st.integers(0, 10_000))
+def test_roundtrip_property(n, p, seed):
+    # any permutation, not only a BFS order, must survive the codec
     g = random_graph(n, p, seed)
-    perm = order_nodes(g, scheme)
+    perm = [int(v) for v in np.random.default_rng([seed, 1]).permutation(n)]
     ol = to_lower(g, perm)
     back = reconstruct(ol)
     pos = {v: i for i, v in enumerate(perm)}
