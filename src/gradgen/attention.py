@@ -25,50 +25,22 @@ class NeighborMask:
     """Symmetric neighborhoods without self-loops, held as a sorted edge list.
 
     ``rows`` and ``cols`` list every directed edge (i, j), sorted by row and
-    then column: node j belongs to node i's neighborhood. ``matrix`` is the
-    dense boolean form, built on first use.
+    then column: node j belongs to node i's neighborhood. The list is taken
+    as given, unchecked. ``matrix`` is the dense boolean form, built on first
+    use.
     """
 
     __slots__ = ("n", "rows", "cols", "_matrix")
 
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=bool)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("neighbor mask must be square")
-        if matrix.trace() != 0:
-            raise ValueError("nodes cannot neighbor themselves")
-        if not np.array_equal(matrix, matrix.T):
-            raise ValueError("neighborhoods must be symmetric")
-        rows, cols = np.nonzero(matrix)
-        self._set(matrix.shape[0], rows, cols)
-        self._matrix = matrix
-
-    def _set(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
         self.n = n
         self.rows = rows.astype(np.intp, copy=False)
         self.cols = cols.astype(np.intp, copy=False)
         self._matrix = None
 
     @classmethod
-    def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "NeighborMask":
-        """Wrap directed edges that are already symmetric and sorted by
-        (row, column), without checking them."""
-        mask = cls.__new__(cls)
-        mask._set(n, rows, cols)
-        return mask
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "NeighborMask":
-        """Undirected edges (u, v), in any order and possibly repeated."""
-        e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
-        return cls.from_sorted(n, keys // n, keys % n)
-
-    @classmethod
     def complete(cls, n: int) -> "NeighborMask":
-        m = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(m, False)
-        return cls(m)
+        return cls(n, *np.nonzero(~np.eye(n, dtype=bool)))
 
     @property
     def matrix(self) -> np.ndarray:

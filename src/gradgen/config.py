@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config", "format_config"]
 
 MODES = ("grad", "grad_d", "grad_r")
+# per declared field type: the Python types a value may have (never a bool,
+# and a float only if finite), and what the error says it must be
+_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a finite number"), "str": ((str,), "a string")}
 
 
 class ConfigError(ValueError):
@@ -38,6 +42,14 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"config field 'seed' must be a non-negative integer, got {self.seed!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, kind = _KINDS[f.type]
+            if (isinstance(value, bool) or not isinstance(value, types)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise ConfigError(f"config field '{f.name}' must be {kind}, got {value!r}")
         numeric_positive = (
             "d", "heads", "d_s_decoder", "d_s_flow", "M", "R", "C", "K",
             "decoder_epochs", "flow_epochs", "batch", "sigma_sample",
@@ -53,8 +65,6 @@ class RunConfig:
             raise ConfigError("d must be even (the flow splits feature channels in half)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"config field 'seed' must be a non-negative integer, got {self.seed!r}")
         if self.flow_noise < 0 or self.decoder_noise < 0:
             raise ConfigError("noise levels cannot be negative")
         from .graphdata.ordering import ORDERINGS

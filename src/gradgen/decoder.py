@@ -19,7 +19,7 @@ from .config import RunConfig
 from .graphdata.core import Graph, OrderedLower, lower_edges
 from .tensorcore import engine as eng
 from .tensorcore.engine import Tensor
-from .tensorcore.optim import AdamState, lr_schedule, sgd_project_step, train_epochs
+from .tensorcore.optim import AdamState, noisy, sgd_project_step, train_epochs
 
 # Steps with at least this many nodes keep only their features and their
 # log-likelihood on the tape; the backward pass recomputes the step's GA stack
@@ -156,7 +156,7 @@ def build_scaffold(lo_i: np.ndarray, lo_j: np.ndarray, n_prev: int, k: int) -> N
     new_cols = np.broadcast_to(everyone, (k, m))[everyone != new[:, None]]
     rows = np.concatenate([keys // m, np.repeat(new, m - 1)])
     cols = np.concatenate([keys % m, new_cols])
-    return NeighborMask.from_sorted(m, rows, cols)
+    return NeighborMask(m, rows, cols)
 
 
 def _block_pairs(n_prev: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +365,7 @@ def train_autodecoder(
         """NLL of graph ``gi`` at noisy codes and its gradients for ``wrt``; learned
         codes take a projected ascent step on their likelihood plus Gaussian prior."""
         z = store.codes[gi]
-        codes = Tensor(_noisy(z, cfg.decoder_noise, rng), requires_grad=learn_codes)
+        codes = Tensor(noisy(z, cfg.decoder_noise, rng), requires_grad=learn_codes)
         loss, grads = eng.run_diagnosed(
             lambda: graph_nll(train_ordered[gi], codes, params, k=cfg.K),
             wrt + [codes] if learn_codes else wrt,
@@ -394,12 +394,8 @@ def train_autodecoder(
         len(train_ordered),
         cfg.batch,
         seed=(cfg.seed, 0xE90C),
-        lr_at=lambda epoch: lr_schedule("step-decay", epoch, base=cfg.tau, total=total_epochs),
+        lr_at=lambda epoch: cfg.tau * 0.3 ** (3 * epoch // total_epochs),
         graph_grads=graph_grads,
         after_step=second_code_pass if learn_codes else None,
         log=log,
     )
-
-
-def _noisy(z: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
-    return z + noise * rng.standard_normal(z.shape) if noise > 0 else z

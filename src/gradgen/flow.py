@@ -21,7 +21,7 @@ from .config import RunConfig
 from .graphdata.core import OrderedLower, lower_edges
 from .tensorcore import engine as eng
 from .tensorcore.engine import Tensor
-from .tensorcore.optim import AdamState, lr_schedule, train_epochs
+from .tensorcore.optim import AdamState, noisy, train_epochs
 
 __all__ = [
     "FlowParams",
@@ -108,7 +108,9 @@ def init_flow_params(cfg: RunConfig, rng: np.random.Generator | None) -> FlowPar
 
 def mask_from_ordered(ol: OrderedLower) -> NeighborMask:
     """The graph's true structure as a neighborhood mask."""
-    return NeighborMask.from_edges(ol.n, np.stack(lower_edges(ol.rows), axis=1))
+    lo_i, lo_j = lower_edges(ol.rows)
+    keys = np.sort(np.concatenate([lo_i * ol.n + lo_j, lo_j * ol.n + lo_i]))
+    return NeighborMask(ol.n, keys // ol.n, keys % ol.n)
 
 
 def _scale(h: Tensor) -> Tensor:
@@ -247,14 +249,12 @@ def train_flow(
 
     def init_on_first_batch(epoch, batch, rng):
         if not params.initialized:
-            init_batch = [(codes[i] + cfg.flow_noise * rng.standard_normal(codes[i].shape), masks[i]) for i in batch]
-            init_actnorms(params, init_batch)
+            init_actnorms(params, [(noisy(codes[i], cfg.flow_noise, rng), masks[i]) for i in batch])
 
     def graph_grads(epoch, gi, rng):
-        z = codes[gi]
-        noisy = z + cfg.flow_noise * rng.standard_normal(z.shape) if cfg.flow_noise > 0 else z
+        z = noisy(codes[gi], cfg.flow_noise, rng)
         return eng.run_diagnosed(
-            lambda: flow_nll(noisy, masks[gi], params) * Tensor(1.0 / z.shape[0]),
+            lambda: flow_nll(z, masks[gi], params) * Tensor(1.0 / z.shape[0]),
             leaves,
             f"flow training diverged at epoch {epoch}, graph {gi}",
         )
@@ -266,7 +266,7 @@ def train_flow(
         len(codes),
         cfg.batch,
         seed=(cfg.seed, 0xF10E),
-        lr_at=lambda epoch: lr_schedule("exponential", epoch, base=cfg.flow_lr, gamma=cfg.flow_gamma),
+        lr_at=lambda epoch: cfg.flow_lr * cfg.flow_gamma**epoch,
         graph_grads=graph_grads,
         before_step=init_on_first_batch,
         log=log,

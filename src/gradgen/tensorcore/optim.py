@@ -1,4 +1,4 @@
-"""Adam, projected gradient-ascent for latent codes, the two LR schedules, and the trainers' epoch loop."""
+"""Adam, projected gradient-ascent for latent codes, the code noise, and the trainers' epoch loop."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .engine import Tensor
 
-__all__ = ["AdamState", "adam_step", "sgd_project_step", "lr_schedule", "train_epochs"]
+__all__ = ["AdamState", "adam_step", "sgd_project_step", "noisy", "train_epochs"]
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba defaults)
 BETA1 = 0.9
@@ -61,22 +61,10 @@ def sgd_project_step(codes: np.ndarray, grads: np.ndarray, delta: float) -> np.n
     return np.clip(codes + delta * grads, -1.0, 1.0)
 
 
-def lr_schedule(kind: str, epoch: int, *, base: float, total: int = 0, gamma: float = 0.997) -> float:
-    """Learning rate at a given epoch.
-
-    step-decay: ``base * 0.3 ** floor(3 * epoch / total)``, at most two decays.
-    exponential: ``base * gamma ** epoch``.
-    """
-    if epoch < 0:
-        raise ValueError("epoch must be nonnegative")
-    if kind == "step-decay":
-        if total <= 0:
-            raise ValueError("step-decay needs the total epoch count")
-        k = min((3 * epoch) // total, 2)
-        return base * 0.3**k
-    if kind == "exponential":
-        return base * gamma**epoch
-    raise ValueError(f"unknown schedule kind: {kind!r}")
+def noisy(z: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """``z`` plus Gaussian noise of standard deviation ``scale`` from ``rng``;
+    at scale 0, ``z`` itself, and nothing is drawn."""
+    return z + scale * rng.standard_normal(z.shape) if scale > 0 else z
 
 
 def train_epochs(

@@ -326,6 +326,27 @@ def dense_ga_forward(z, matrix, params):
     return layer_norm(normed + ff, params.ln2_g, params.ln2_b)
 
 
+def mask_from_matrix(matrix):
+    """``NeighborMask`` over a boolean matrix, which this asserts is square
+    and symmetric with an empty diagonal: the constructor takes the edge list
+    of ``np.nonzero`` unchecked."""
+    from gradgen.attention import NeighborMask
+
+    matrix = np.asarray(matrix, dtype=bool)
+    assert matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1], matrix.shape
+    assert not matrix.diagonal().any() and np.array_equal(matrix, matrix.T)
+    return NeighborMask(len(matrix), *np.nonzero(matrix))
+
+
+def mask_from_edges(n, edges):
+    """``mask_from_matrix`` over undirected edges (u, v), in any order and
+    possibly repeated."""
+    matrix = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        matrix[u, v] = matrix[v, u] = True
+    return mask_from_matrix(matrix)
+
+
 def dense_scaffold(rows, n_prev, k):
     """Decoder scaffold as an m x m boolean matrix, built row by row."""
     m = n_prev + k

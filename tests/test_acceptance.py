@@ -25,7 +25,7 @@ from gradgen.graphdata import Graph, load_graphs, lower_edges, order_nodes, to_l
 from gradgen.tensorcore import Tensor, grad, tsum
 
 from conftest import assert_grads_match, numerical_grad
-from oracles import brute_force_orbit_counts
+from oracles import brute_force_orbit_counts, mask_from_matrix
 
 RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results", "acceptance")
 
@@ -47,7 +47,7 @@ def random_graph(n, p, rng):
 
 def random_mask(n, p, rng):
     m = np.triu(rng.random((n, n)) < p, 1)
-    return NeighborMask(m | m.T)
+    return mask_from_matrix(m | m.T)
 
 
 def report(criterion: int, message: str) -> None:

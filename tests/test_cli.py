@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -131,6 +132,14 @@ def test_config_accepts_only_the_bfs_ordering(scheme, tmp_path):
     with pytest.raises(ConfigError) as bad:
         load_config(cfg)
     assert str(bad.value).startswith(f"{cfg}: ") and "'bfs'" in str(bad.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type == "float"])
+def test_config_rejects_non_finite_values(name, value, tmp_path, capsys):
+    cfg = tiny_cfg_with(tmp_path, f"{name} = {value}")
+    assert cli.main(["show-config", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: config field '{name}' must be a finite number, got {value}\n"
 
 
 @pytest.mark.parametrize("command", ["sample", "gen-data"])
@@ -335,6 +344,10 @@ def test_checkpoint_truncated_or_invalid_header_is_named(tmp_path, tiny_data, ca
         (lambda h: [h], "header is a JSON list, not an object"),
         (lambda h: {**h, "config": {**h["config"], "seed": 1.5}},
          r"bad config \(config field 'seed' must be a non-negative integer, got 1\.5\)"),
+        *[(lambda h, key=key, value=value: {**h, "config": {**h["config"], key: value}},
+           rf"bad config \(config field '{key}' must be {kind}, got {re.escape(repr(value))}\)")
+          for key, value, kind in [("heads", 2.0, "an integer"), ("K", 1.5, "an integer"), ("d", True, "an integer"),
+                                   ("tau", "5e-5", "a finite number"), ("mode", 3, "a string")]],
         (set_field("train_sizes", [4, 7]), rf"tensor latent/1 has shape \(6, {d}\), expected \(7, {d}\)"),
         (edit_entry("latent/0", lambda e: {**e, "shape": [2, 2 * d]}),
          rf"tensor latent/0 has shape \(2, {2 * d}\), expected \(4, {d}\)"),

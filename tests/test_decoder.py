@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from gradgen.attention import NeighborMask
 from gradgen.config import RunConfig
 from gradgen.decoder import (
     BlockParams,
@@ -70,12 +69,13 @@ def test_scaffold_block_of_two_no_prev_edges():
 
 @pytest.mark.parametrize("n_prev,k", [(0, 1), (0, 3), (1, 1), (9, 1), (12, 4), (30, 2)])
 def test_scaffold_matches_dense_oracle(n_prev, k):
-    from oracles import dense_scaffold
+    from oracles import dense_scaffold, mask_from_matrix
 
     rng = np.random.default_rng(n_prev * 10 + k)
     rows = [np.flatnonzero(rng.random(i) < 0.3) for i in range(n_prev)]
     mask = build_scaffold(*lower_edges(rows), n_prev, k)
-    ref = NeighborMask(dense_scaffold(rows, n_prev, k))
+    ref = mask_from_matrix(dense_scaffold(rows, n_prev, k))
+    assert mask.n == ref.n
     for name in ("rows", "cols"):
         np.testing.assert_array_equal(getattr(mask, name), getattr(ref, name))
 

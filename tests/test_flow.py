@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,11 @@ from gradgen.flow import (
     sample_codes,
     train_flow,
 )
-from gradgen.graphdata import Graph, order_nodes, to_lower
+from gradgen.graphdata import Graph, load_graphs, order_nodes, to_lower
 from gradgen.tensorcore import Tensor, grad
-from gradgen.tensorcore.optim import lr_schedule
 
 from conftest import assert_grads_match, numerical_grad
+from oracles import mask_from_matrix
 
 
 def flow_config(**kw):
@@ -45,7 +47,25 @@ def identity_flow(cfg):
 def random_mask(n, p, seed):
     rng = np.random.default_rng(seed)
     m = np.triu(rng.random((n, n)) < p, 1)
-    return NeighborMask(m | m.T)
+    return mask_from_matrix(m | m.T)
+
+
+def test_mask_from_ordered_is_the_ordered_adjacency():
+    """On every committed training lobster in BFS order, the true-structure
+    mask is the sorted edge list of the permuted adjacency matrix."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "results", "acceptance", "lobster.ckpt.train.g")
+    graphs = load_graphs(path)
+    assert len(graphs) == 80
+    for g in graphs:
+        perm = order_nodes(g, "bfs")
+        adj = np.zeros((g.n, g.n), dtype=bool)
+        for u, v in g.edges:
+            adj[u, v] = adj[v, u] = True
+        rows, cols = np.nonzero(adj[np.ix_(perm, perm)])
+        mask = mask_from_ordered(to_lower(g, perm))
+        assert mask.n == g.n
+        np.testing.assert_array_equal(mask.rows, rows)
+        np.testing.assert_array_equal(mask.cols, cols)
 
 
 def perturb(params: FlowParams, scale=0.4, seed=1):
@@ -226,7 +246,6 @@ def chain_graphs(n_graphs, n):
 
 
 def test_flow_training_smoke_and_lr():
-    assert lr_schedule("exponential", 0, base=1e-3) == pytest.approx(1e-3)
     cfg = flow_config(flow_epochs=50, batch=1, flow_lr=1e-3)
     ordered = chain_graphs(1, 6)
     rng = np.random.default_rng(30)

@@ -6,7 +6,7 @@ from gradgen.decoder import LatentStore, train_autodecoder
 from gradgen.flow import train_flow
 from gradgen.graphdata import gen_cycles, order_nodes, to_lower
 from gradgen.tensorcore import optim
-from gradgen.tensorcore import AdamState, Tensor, adam_step, lr_schedule, sgd_project_step
+from gradgen.tensorcore import AdamState, Tensor, adam_step, sgd_project_step
 
 
 def test_adam_zero_gradient_is_fixed_point():
@@ -83,27 +83,6 @@ def test_sgd_project_shape_mismatch_rejected():
         sgd_project_step(np.zeros(3), np.zeros(4), 0.1)
 
 
-def test_step_decay_schedule():
-    assert lr_schedule("step-decay", 0, base=5e-5, total=500) == pytest.approx(5e-5)
-    assert lr_schedule("step-decay", 200, base=5e-5, total=500) == pytest.approx(1.5e-5)
-    assert lr_schedule("step-decay", 400, base=5e-5, total=500) == pytest.approx(5e-5 * 0.09)
-    # capped at two decays even past the end
-    assert lr_schedule("step-decay", 499, base=5e-5, total=500) == pytest.approx(5e-5 * 0.09)
-    assert lr_schedule("step-decay", 1000, base=5e-5, total=500) == pytest.approx(5e-5 * 0.09)
-
-
-def test_exponential_schedule():
-    assert lr_schedule("exponential", 0, base=1e-3) == pytest.approx(1e-3)
-    assert lr_schedule("exponential", 10, base=1e-3, gamma=0.997) == pytest.approx(1e-3 * 0.997**10)
-
-
-def test_schedule_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lr_schedule("step-decay", -1, base=1e-3, total=10)
-    with pytest.raises(ValueError):
-        lr_schedule("cosine", 0, base=1e-3)
-
-
 # -- training arithmetic pinned to recorded constants ---------------------------
 # Both trainers' curves and final state are compared with values recorded from
 # a reference run. Determinism and resume tests compare a run with itself, so
@@ -150,3 +129,19 @@ def test_flow_training_matches_recorded_values():
     np.testing.assert_allclose([nll for _, _, nll in curve], PINNED_FLOW_CURVE, rtol=1e-12)
     np.testing.assert_allclose(sum(float(t.data.sum()) for _, t in params.tensors()), PINNED_FLOW_PARAM_SUM,
                                rtol=1e-12)
+
+
+def test_each_trainer_logs_its_learning_rate_formula():
+    """Three epochs of each trainer: the decoder's rate falls by 0.3 at each
+    third of its budget, the flow's by ``flow_gamma`` each epoch. The values
+    are the logged ones, compared exactly."""
+    cfg = pinned_config(decoder_epochs=3, flow_epochs=3)
+    graphs = pinned_graphs()
+    rows = []
+    _, store, curve = train_autodecoder(graphs, cfg, log=lambda *row: rows.append(row))
+    assert rows == curve
+    assert [(e, lr) for e, lr, _ in rows] == [(0, 0.001), (1, 0.0003), (2, 8.999999999999999e-05)]
+    rows = []
+    _, curve = train_flow(store, graphs, cfg, log=lambda *row: rows.append(row))
+    assert rows == curve
+    assert [(e, lr) for e, lr, _ in rows] == [(0, 0.001), (1, 0.000997), (2, 0.0009940090000000001)]
